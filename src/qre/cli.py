@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 from attrs import evolve
 
@@ -51,10 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise SchemaError(f"job file is not valid JSON: {name} is not a JSON number")
+
+
 def _load_job_file(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise SchemaError(f"cannot read job file: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -66,8 +71,8 @@ def _parse_factors(text: str) -> tuple[float, ...]:
         factors = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise SchemaError(f"--factors must be comma-separated numbers, got {text!r}") from None
-    if not factors:
-        raise SchemaError("--factors must not be empty")
+    if not all(math.isfinite(f) for f in factors):
+        raise SchemaError(f"--factors must be finite numbers, got {text!r}")
     return factors
 
 

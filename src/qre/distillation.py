@@ -20,9 +20,12 @@ what the final round produces at that same confidence.
 from __future__ import annotations
 
 import enum
+import threading
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from attrs import frozen
 from scipy.stats import binom
@@ -106,7 +109,10 @@ def _binomial_tail(successes: int, trials: int, p: float) -> float:
     return float(binom.sf(successes - 1, trials, p))
 
 
-@lru_cache(maxsize=None)
+# Cache bounds: the 8 compatible (qubit preset, code) pairs fill 8 staircases
+# and about 1.3k provisioning and 4.9k output-count keys under the default
+# search bounds, and each bound holds several times that.
+@lru_cache(maxsize=4096)
 def provisioned_copies(required: int, acceptance: float) -> int:
     """Smallest copy count delivering ``required`` successes at 99% confidence.
 
@@ -140,7 +146,7 @@ def provisioned_copies(required: int, acceptance: float) -> int:
     return lo
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16384)
 def reliable_outputs(copies: int, acceptance: float) -> int:
     """Largest output count the final round guarantees at 99% confidence.
 
@@ -256,19 +262,6 @@ class TFactory:
         }
 
 
-def _error_chain(
-    rounds: Sequence[TFactoryRound], qubit: PhysicalQubitParams
-) -> tuple[float, list[float]]:
-    error = qubit.p_t
-    acceptances: list[float] = []
-    for rnd in rounds:
-        error, acceptance = unit_output_error(
-            rnd.unit.kind, rnd.unit.level, error, rnd.unit.clifford_error(qubit)
-        )
-        acceptances.append(acceptance)
-    return error, acceptances
-
-
 def evaluate_factory(
     rounds: Sequence[TFactoryRound], qubit: PhysicalQubitParams
 ) -> TFactory:
@@ -304,7 +297,13 @@ def evaluate_factory(
     if len(codes_seen) > 1:
         raise ParameterError("factory patches must share one code model")
 
-    output_error, acceptances = _error_chain(rounds, qubit)
+    output_error = qubit.p_t
+    acceptances: list[float] = []
+    for rnd in rounds:
+        output_error, acceptance = unit_output_error(
+            rnd.unit.kind, rnd.unit.level, output_error, rnd.unit.clifford_error(qubit)
+        )
+        acceptances.append(acceptance)
     for index in range(len(rounds) - 1):
         needed = provisioned_copies(15 * rounds[index + 1].copies, acceptances[index])
         if rounds[index].copies < needed:
@@ -358,74 +357,84 @@ class SearchBounds:
         }
 
 
-def _provision_rounds(
-    units: Sequence[DistillationUnitSpec],
-    final_copies: int,
-    qubit: PhysicalQubitParams,
-) -> tuple[TFactoryRound, ...] | None:
-    """Attach minimal copy counts to a unit pipeline, last round fixed.
+class _Unit(NamedTuple):
+    """A unit layout with its costs on one qubit, as plain numbers."""
 
-    Returns None when some acceptance probability is not positive, so the
-    search can simply skip the configuration.
-    """
-    error = qubit.p_t
-    acceptances = []
-    try:
-        for unit in units:
-            error, acceptance = unit_output_error(
-                unit.kind, unit.level, error, unit.clifford_error(qubit)
-            )
-            acceptances.append(acceptance)
-        copies = [0] * len(units)
-        copies[-1] = final_copies
-        for index in range(len(units) - 2, -1, -1):
-            copies[index] = provisioned_copies(15 * copies[index + 1], acceptances[index])
-    except ValidityRangeError:
-        return None
-    return tuple(TFactoryRound(unit=u, copies=c) for u, c in zip(units, copies))
+    spec: DistillationUnitSpec
+    qubits: int
+    duration: int
+    clifford_error: float
 
 
-@lru_cache(maxsize=None)
-def _search_candidates(
+@lru_cache(maxsize=32)
+def _staircase(
     qubit: PhysicalQubitParams, code: QecCodeModel, bounds: SearchBounds
-) -> tuple[TFactory, ...]:
-    """Every evaluable factory in the bounded space, in generation order.
+) -> tuple[tuple[float, ...], tuple[TFactory, ...]]:
+    """The staircase members, cheapest first, with their negated output
+    errors (a rising sequence, for :func:`bisect_left`). Every configuration
+    is walked once, in generation order, on plain numbers."""
+    distances = [d for d in range(bounds.min_distance, bounds.max_distance + 1) if d % 2]
 
-    The set does not depend on the error target, so one enumeration serves
-    every query against the same (qubit, code, bounds) triple.
-    """
-    distances = [
-        d
-        for d in range(max(3, bounds.min_distance), bounds.max_distance + 1)
-        if d % 2 == 1
-    ]
+    def unit(kind: UnitKind, patch: LogicalPatch | None = None) -> _Unit:
+        spec = DistillationUnitSpec(kind=kind, patch=patch)
+        return _Unit(spec, spec.qubit_cost(), spec.duration(qubit), spec.clifford_error(qubit))
+
     patches = {d: make_patch(code, qubit, d) for d in distances}
-    majorana = qubit.instruction_set is InstructionSet.MAJORANA
-    kinds = tuple(UnitKind)
-    found: list[TFactory] = []
+    logical = {(k, d): unit(k, patches[d]) for d in distances for k in UnitKind}
+    firsts: list[_Unit | None] = [None]
+    if qubit.instruction_set is InstructionSet.MAJORANA:
+        firsts += [unit(k) for k in UnitKind]
+
+    # (qubit-seconds, qubits, duration, output error, units, copies)
+    found: list[tuple] = []
     for total_rounds in range(1, bounds.max_rounds + 1):
-        for first_physical in (False, True) if majorana else (False,):
-            logical_rounds = total_rounds - int(first_physical)
+        for first in firsts:
+            prefix = () if first is None else (first,)
+            logical_rounds = total_rounds - len(prefix)
             if logical_rounds < 1:
                 # The final round must hand over encoded states.
                 continue
-            for first_kind in kinds if first_physical else (None,):
-                prefix = () if first_kind is None else (DistillationUnitSpec(kind=first_kind),)
-                for logical_kinds in product(kinds, repeat=logical_rounds):
-                    for combo in combinations_with_replacement(distances, logical_rounds):
-                        units = prefix + tuple(
-                            DistillationUnitSpec(kind=k, patch=patches[d])
-                            for k, d in zip(logical_kinds, combo)
-                        )
-                        for final_copies in range(1, bounds.max_final_copies + 1):
-                            rounds = _provision_rounds(units, final_copies, qubit)
-                            if rounds is None:
-                                continue
-                            try:
-                                found.append(evaluate_factory(rounds, qubit))
-                            except FactoryOutputError:
-                                continue
-    return tuple(found)
+            for logical_kinds in product(UnitKind, repeat=logical_rounds):
+                for combo in combinations_with_replacement(distances, logical_rounds):
+                    units = prefix + tuple(logical[kd] for kd in zip(logical_kinds, combo))
+                    error = qubit.p_t
+                    acceptances = []
+                    try:
+                        for spec, _, _, clifford in units:
+                            error, acceptance = unit_output_error(
+                                spec.kind, spec.level, error, clifford
+                            )
+                            acceptances.append(acceptance)
+                    except ValidityRangeError:
+                        continue
+                    duration = sum(u.duration for u in units)
+                    for final_copies in range(1, bounds.max_final_copies + 1):
+                        if reliable_outputs(final_copies, acceptances[-1]) == 0:
+                            continue
+                        copies = [final_copies]
+                        try:
+                            for acceptance in acceptances[-2::-1]:
+                                copies.append(provisioned_copies(15 * copies[-1], acceptance))
+                        except ValidityRangeError:
+                            continue
+                        copies.reverse()
+                        qubits = max(c * u.qubits for c, u in zip(copies, units))
+                        found.append((qubits * duration, qubits, duration, error, units, copies))
+
+    # A stable sort keeps generation order as the last tie-break.
+    found.sort(key=itemgetter(0, 1, 2))
+    errors: list[float] = []
+    factories: list[TFactory] = []
+    for _, _, _, error, units, copies in found:
+        if not errors or error < -errors[-1]:
+            rounds = [TFactoryRound(unit=u.spec, copies=c) for u, c in zip(units, copies)]
+            factories.append(evaluate_factory(rounds, qubit))
+            errors.append(-error)
+    return tuple(errors), tuple(factories)
+
+
+# One build per (qubit, code, bounds), even when frontier threads miss together.
+_STAIRCASE_LOCK = threading.Lock()
 
 
 def search_factory(
@@ -440,28 +449,23 @@ def search_factory(
     fewer qubits, then to the shorter duration, then to generation order.
     Raises :class:`NoFactoryError` (carrying the best error any candidate
     achieved) when the bounded space cannot reach the target.
+
+    The candidate set does not depend on the target, so the first query per
+    (qubit, code, bounds) builds its Pareto staircase: the candidates in
+    cost order whose output error is strictly below that of every cheaper
+    one. The cheapest candidate meeting any target is on it, so a query is
+    a bisection. Up to 32 staircases are cached (least recently used
+    first out), each of 20 to 183 factories for the preset qubits under
+    the default bounds; one lock makes concurrent first queries build a
+    staircase once.
     """
     if not target_error > 0:
         raise ParameterError("target error must be positive")
     bounds = SearchBounds() if bounds is None else bounds
     bounds.validate()
-    candidates = _search_candidates(qubit, code, bounds)
-    best: TFactory | None = None
-    best_key: tuple[int, int, int, int] | None = None
-    achieved: float | None = None
-    for index, factory in enumerate(candidates):
-        if achieved is None or factory.output_error < achieved:
-            achieved = factory.output_error
-        if factory.output_error > target_error:
-            continue
-        key = (
-            factory.qubit_count * factory.duration,
-            factory.qubit_count,
-            factory.duration,
-            index,
-        )
-        if best_key is None or key < best_key:
-            best, best_key = factory, key
-    if best is None:
-        raise NoFactoryError(target_error, achieved)
-    return best
+    with _STAIRCASE_LOCK:
+        errors, factories = _staircase(qubit, code, bounds)
+    index = bisect_left(errors, -target_error)
+    if index == len(factories):
+        raise NoFactoryError(target_error, -errors[-1] if errors else None)
+    return factories[index]

@@ -129,9 +129,12 @@ def estimate(
     """
     qubit.validate()
     requirements.validate()
-    if c_factor < 1:
+    if not c_factor >= 1:
         raise ParameterError("schedule stretch factor must be at least 1")
-    steps = max(1, math.ceil(c_factor * requirements.min_time_steps))
+    stretched = c_factor * requirements.min_time_steps
+    if not math.isfinite(stretched):
+        raise ParameterError(f"schedule stretch factor {c_factor:g} overflows the step count")
+    steps = max(1, math.ceil(stretched))
     target_t_error = requirements.max_t_state_error
     factory: TFactory | None = None
     for _ in range(_MAX_PASSES):

@@ -227,6 +227,19 @@ def _pointer(*parts: Any) -> str:
     return "/" + "/".join(str(p) for p in parts) if parts else "/"
 
 
+def _reject_non_finite(node: Any, *path: Any) -> None:
+    # Python's json accepts NaN and Infinity, and the schema's ``minimum``
+    # lets NaN through.
+    if isinstance(node, float) and not math.isfinite(node):
+        raise SchemaError(f"number must be finite, got {node!r}", _pointer(*path))
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, *path, key)
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            _reject_non_finite(value, *path, index)
+
+
 def _schema_pass(obj: Any) -> None:
     error = best_match(_VALIDATOR.iter_errors(obj))
     if error is not None:
@@ -335,6 +348,7 @@ def parse_job(obj: Any) -> JobSpec:
     Raises :class:`SchemaError` for anything a user could write wrong, with
     a JSON pointer locating the problem.
     """
+    _reject_non_finite(obj)
     _schema_pass(obj)
 
     overrides = obj.get("overrides", {})

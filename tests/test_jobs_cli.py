@@ -283,3 +283,70 @@ class TestCli:
         out = capsys.readouterr().out
         assert "chemistry" in out
         assert "hastings-haah" not in out
+
+
+_INLINE_QUBIT = (
+    '{"instruction_set": "gate-based", "t_gate": {"value": 50, "unit": "ns"}, '
+    '"t_meas": {"value": %s, "unit": "ns"}, "p_clifford": 1e-4, "p_t": 1e-4}'
+)
+_COUNTS = (
+    '{"counts": {"algorithm_qubits": 10, "rotations": %s, "rotation_layers": 10, '
+    '"error_budget": 0.001}}'
+)
+
+
+class TestHostileInput:
+    """Non-finite and overflowing numbers end in one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, command, expected",
+        [
+            ('{"qubit": "ns-e4", "application": "dynamics", "c_factor": NaN}', "estimate", 2),
+            (
+                '{"qubit": %s, "application": "dynamics"}' % (_INLINE_QUBIT % "Infinity"),
+                "estimate",
+                2,
+            ),
+            ('{"qubit": "ns-e4", "application": %s}' % (_COUNTS % "Infinity"), "estimate", 2),
+            ('{"qubit": "ns-e4", "application": %s}' % (_COUNTS % "-Infinity"), "validate", 2),
+            (
+                '{"qubit": "ns-e4", "application": "dynamics", "frontier_factors": [1e308]}',
+                "frontier",
+                1,
+            ),
+        ],
+        ids=["nan-c-factor", "infinite-duration", "infinite-rotations", "minus-infinity", "huge-factor"],
+    )
+    def test_cli_exits_with_one_line(self, tmp_path, capsys, text, command, expected):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        assert main([command, "--job", str(path)]) == expected
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("factors, expected", [("1e308", 1), ("1,inf", 2), ("nan", 2)])
+    def test_cli_factor_flag(self, tmp_path, capsys, factors, expected):
+        path = _write(tmp_path, _job())
+        assert main(["frontier", "--job", path, "--factors", factors]) == expected
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "obj, pointer",
+        [
+            (_job(c_factor=float("nan")), "/c_factor"),
+            (_job(frontier_factors=[1, float("inf")]), "/frontier_factors/1"),
+            (
+                _job(qubit=json.loads(_INLINE_QUBIT % "1e999")),
+                "/qubit/t_meas/value",
+            ),
+            (
+                _job(application=json.loads(_COUNTS % "-1e999")),
+                "/application/counts/rotations",
+            ),
+        ],
+    )
+    def test_parse_job_rejects_non_finite(self, obj, pointer):
+        with pytest.raises(SchemaError, match="finite") as info:
+            parse_job(obj)
+        assert info.value.pointer == pointer
