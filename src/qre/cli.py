@@ -64,6 +64,8 @@ def _load_job_file(path: str) -> Any:
         raise SchemaError(f"cannot read job file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"job file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("job file nests too deeply to parse") from None
 
 
 def _parse_factors(text: str) -> tuple[float, ...]:

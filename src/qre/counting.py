@@ -201,7 +201,10 @@ def rotation_t_count(
         raise ParameterError("synthesis budget must be positive")
     model = SynthesisModel() if model is None else model
     model.validate()
-    return math.ceil(model.scale * math.log2(rotations / synthesis_budget) + model.offset)
+    per_rotation = model.scale * math.log2(rotations / synthesis_budget) + model.offset
+    if not math.isfinite(per_rotation):
+        raise ParameterError(f"T count per rotation overflows at {rotations:g} rotations")
+    return math.ceil(per_rotation)
 
 
 def _compiled_qubits(algorithm_qubits: int) -> int:

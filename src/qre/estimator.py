@@ -157,9 +157,12 @@ def estimate(
     if factory is None:
         factory_count = 0
     else:
-        factory_count = math.ceil(
-            requirements.t_states * factory.duration / (factory.output_count * runtime)
-        )
+        try:
+            factory_count = math.ceil(
+                requirements.t_states * factory.duration / (factory.output_count * runtime)
+            )
+        except OverflowError:
+            raise ParameterError("factory count overflows: durations are too long") from None
     physical_qubits = (
         factory_count * (0 if factory is None else factory.qubit_count)
         + requirements.logical_qubits * code.tile_qubits(distance)

@@ -348,7 +348,10 @@ def parse_job(obj: Any) -> JobSpec:
     Raises :class:`SchemaError` for anything a user could write wrong, with
     a JSON pointer locating the problem.
     """
-    _reject_non_finite(obj)
+    try:
+        _reject_non_finite(obj)
+    except RecursionError:
+        raise SchemaError("job nests too deeply to check") from None
     _schema_pass(obj)
 
     overrides = obj.get("overrides", {})

@@ -108,6 +108,23 @@ class TestProvisioning:
     def test_zero_required(self):
         assert provisioned_copies(0, 0.5) == 0
 
+    @pytest.mark.parametrize(
+        "required, acceptance, copies",
+        [
+            # scipy's tail and 40-digit mpmath agree on this one. A tail off by
+            # 1e-8, as log-space lgamma sums are here, gives 25 446 087.
+            (15, 1e-6, 25_446_085),
+            (450, 1e-3, 500_789),
+            (15, 1.0, 15),
+        ],
+    )
+    def test_pinned(self, required, acceptance, copies):
+        assert provisioned_copies(required, acceptance) == copies
+
+    def test_divergence_raises(self):
+        with pytest.raises(ValidityRangeError, match="diverges"):
+            provisioned_copies(15, 1e-9)
+
     def test_reliable_outputs_all_or_some(self):
         assert reliable_outputs(1, 0.999) == 1
         assert reliable_outputs(2, 0.999) == 2

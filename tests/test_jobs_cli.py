@@ -1,6 +1,10 @@
 """Job-file parsing, schema diagnostics and the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from qre import (
     parse_job,
     run,
 )
+import qre
 from qre.cli import main
 
 
@@ -314,8 +319,25 @@ class TestHostileInput:
                 "frontier",
                 1,
             ),
+            # Counts errors are reported at /application/counts, as bad input.
+            ('{"qubit": "ns-e4", "application": %s}' % (_COUNTS % "1e308"), "estimate", 2),
+            (
+                '{"qubit": {"instruction_set": "gate-based", "t_gate": {"value": 50, "unit": "ns"}, '
+                '"t_meas": {"value": 1e300, "unit": "ms"}, "p_clifford": 1e-4, "p_t": 1e-4}, '
+                '"application": "dynamics"}',
+                "estimate",
+                1,
+            ),
         ],
-        ids=["nan-c-factor", "infinite-duration", "infinite-rotations", "minus-infinity", "huge-factor"],
+        ids=[
+            "nan-c-factor",
+            "infinite-duration",
+            "infinite-rotations",
+            "minus-infinity",
+            "huge-factor",
+            "huge-rotations",
+            "huge-duration",
+        ],
     )
     def test_cli_exits_with_one_line(self, tmp_path, capsys, text, command, expected):
         path = tmp_path / "hostile.json"
@@ -350,3 +372,38 @@ class TestHostileInput:
         with pytest.raises(SchemaError, match="finite") as info:
             parse_job(obj)
         assert info.value.pointer == pointer
+
+    @pytest.mark.parametrize("depth", [1000, 100_000])
+    def test_cli_deep_nesting(self, tmp_path, capsys, depth):
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"qubit": "ns-e4", "application": "dynamics", "x": %s}' % ("[" * depth + "]" * depth)
+        )
+        assert main(["validate", "--job", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "too deeply" in err
+
+    def test_parse_job_deep_nesting(self):
+        deep: list = []
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(SchemaError, match="too deeply"):
+            parse_job(_job(x=deep))
+
+
+def test_cli_import_needs_no_scipy_or_numpy():
+    code = (
+        "import sys, qre.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
+    )
+    src = str(Path(qre.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
