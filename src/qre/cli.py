@@ -10,9 +10,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Any, NoReturn
-
-from attrs import evolve
 
 from ._version import __version__
 from .codes import BUILTIN_CODES
@@ -119,7 +118,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "frontier":
         if args.factors is not None:
-            job = evolve(job, frontier_factors=_parse_factors(args.factors))
+            job = replace(job, frontier_factors=_parse_factors(args.factors))
         elif job.frontier_factors is None:
             raise SchemaError(
                 "frontier needs --factors or frontier_factors in the job"

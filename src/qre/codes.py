@@ -16,8 +16,7 @@ patch-step, ``n(d) * tau(d)``.
 from __future__ import annotations
 
 import math
-
-from attrs import frozen
+from dataclasses import dataclass
 
 from .errors import (
     AboveThresholdError,
@@ -35,7 +34,7 @@ def ceil_to_odd(value: float, minimum: int = 3) -> int:
     return d if d % 2 == 1 else d + 1
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class QecCodeModel:
     """Scaling model for one code family on one instruction set.
 
@@ -209,7 +208,7 @@ def code_preset(name: str) -> QecCodeModel:
     raise UnknownPresetError("code", name, code_preset_names())
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class LogicalPatch:
     """One logical qubit: a code instantiated at a distance on a hardware model."""
 

@@ -16,13 +16,12 @@ fitted constants held by :class:`SynthesisModel`.
 from __future__ import annotations
 
 import math
-
-from attrs import frozen
+from dataclasses import dataclass, replace
 
 from .errors import ParameterError, UnknownPresetError
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class SynthesisModel:
     """T cost per rotation: ``ceil(scale * log2(1/accuracy) + offset)``."""
 
@@ -34,7 +33,7 @@ class SynthesisModel:
             raise ParameterError("synthesis constants must be non-negative")
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class BudgetSplit:
     """Fractions of the error budget given to each failure mechanism."""
 
@@ -50,7 +49,7 @@ class BudgetSplit:
             raise ParameterError("budget split fractions must sum to at most 1")
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class AlgorithmCounts:
     """Operation counts of a compiled logical algorithm.
 
@@ -111,7 +110,7 @@ class AlgorithmCounts:
         return counts
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class LogicalRequirements:
     """What the physical layer must deliver.
 
@@ -157,9 +156,7 @@ class LogicalRequirements:
     def with_budget_split(self, split: BudgetSplit) -> "LogicalRequirements":
         """Re-divide the stored total budget; derived targets follow."""
         split.validate()
-        from attrs import evolve
-
-        return evolve(
+        return replace(
             self,
             logical_budget=split.logical * self.error_budget,
             distillation_budget=split.distillation * self.error_budget,
@@ -287,7 +284,7 @@ def ising_counts(
     return counts
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class ApplicationPreset:
     """A named workload: either raw counts or stored requirements."""
 

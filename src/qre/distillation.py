@@ -22,13 +22,12 @@ from __future__ import annotations
 import enum
 import threading
 from bisect import bisect_left
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple, Sequence
-
-from attrs import frozen
 
 from .codes import LogicalPatch, QecCodeModel
 from .codes import patch as make_patch
@@ -43,6 +42,11 @@ from .qubits import InstructionSet, PhysicalQubitParams
 ACCOUNTING_CONFIDENCE = 0.99
 
 _PROVISION_LIMIT = 10**9
+
+# Largest factory search bounds accepted. The walk grows steeply in each
+# (five rounds alone take about 12 s); at all three caps a cold search on
+# a preset qubit takes 4 to 6 s on a 2-core x86 machine.
+SEARCH_CAPS = {"max_rounds": 4, "max_distance": 35, "max_final_copies": 4}
 
 
 class UnitKind(enum.Enum):
@@ -74,21 +78,12 @@ _UNIT_STEPS = {
 }
 
 
-def unit_output_error(
-    kind: UnitKind,
-    level: UnitLevel,
-    input_error: float,
-    clifford_error: float,
-) -> tuple[float, float]:
-    """First-order output error and acceptance probability of one unit.
-
-    ``kind`` and ``level`` are part of the interface for symmetry with the
-    cost tables, but every 15-to-1 variant shares the same first-order
-    model, so they do not enter the arithmetic.
+def unit_output_error(input_error: float, clifford_error: float) -> tuple[float, float]:
+    """First-order output error and acceptance probability of one unit;
+    every 15-to-1 layout and level shares this model.
 
     Returns ``(output_error, acceptance_probability)``.
     """
-    del kind, level
     for label, value in (("input error", input_error), ("clifford error", clifford_error)):
         if not 0.0 <= value < 1.0:
             raise ValidityRangeError(
@@ -168,7 +163,7 @@ def reliable_outputs(copies: int, acceptance: float) -> int:
     return lo
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class DistillationUnitSpec:
     """One unit layout at one level. ``patch`` is None for physical level."""
 
@@ -221,7 +216,7 @@ class DistillationUnitSpec:
         }
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class TFactoryRound:
     unit: DistillationUnitSpec
     copies: int
@@ -230,7 +225,7 @@ class TFactoryRound:
         return {**self.unit.to_json(), "copies": self.copies}
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class TFactory:
     """A fully evaluated distillation pipeline.
 
@@ -298,9 +293,7 @@ def evaluate_factory(
     output_error = qubit.p_t
     acceptances: list[float] = []
     for rnd in rounds:
-        output_error, acceptance = unit_output_error(
-            rnd.unit.kind, rnd.unit.level, output_error, rnd.unit.clifford_error(qubit)
-        )
+        output_error, acceptance = unit_output_error(output_error, rnd.unit.clifford_error(qubit))
         acceptances.append(acceptance)
     for index in range(len(rounds) - 1):
         needed = provisioned_copies(15 * rounds[index + 1].copies, acceptances[index])
@@ -322,13 +315,13 @@ def evaluate_factory(
     )
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class SearchBounds:
     """Limits on the factory search space.
 
     Logical distances run over odd values in ``[min_distance,
     max_distance]``; the final round tries up to ``max_final_copies``
-    parallel units.
+    parallel units. :meth:`validate` rejects bounds above ``SEARCH_CAPS``.
     """
 
     max_rounds: int = 3
@@ -345,6 +338,9 @@ class SearchBounds:
             raise ParameterError("empty factory distance range")
         if self.max_final_copies < 1:
             raise ParameterError("final round needs at least one unit")
+        for name, cap in SEARCH_CAPS.items():
+            if getattr(self, name) > cap:
+                raise ParameterError(f"factory search {name} is capped at {cap}")
 
     def to_json(self) -> dict:
         return {
@@ -398,10 +394,8 @@ def _staircase(
                     error = qubit.p_t
                     acceptances = []
                     try:
-                        for spec, _, _, clifford in units:
-                            error, acceptance = unit_output_error(
-                                spec.kind, spec.level, error, clifford
-                            )
+                        for u in units:
+                            error, acceptance = unit_output_error(error, u.clifford_error)
                             acceptances.append(acceptance)
                     except ValidityRangeError:
                         continue

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import NamedTuple
-
-from attrs import frozen
 
 from .codes import QecCodeModel, select_code
 from .counting import LogicalRequirements
@@ -32,7 +31,7 @@ _MAX_PASSES = 5
 F_ACCOUNTING = "per-final-round-99pct"
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class PhysicalEstimate:
     """One point of the space-time tradeoff for one workload on one qubit."""
 

@@ -16,11 +16,8 @@ from __future__ import annotations
 import copy
 import math
 import os
-from typing import Any
-
-from attrs import frozen
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
+from dataclasses import dataclass
+from typing import Any, NoReturn
 
 from .codes import BUILTIN_CODES, QecCodeModel
 from .counting import (
@@ -32,11 +29,16 @@ from .counting import (
     ising_counts,
     logical_counts,
 )
-from .distillation import SearchBounds
+from .distillation import SEARCH_CAPS, SearchBounds
 from .errors import ParameterError, SchemaError, UnknownPresetError
 from .qubits import PhysicalQubitParams, qubit_preset
 
 DISTANCE_CAP_ENV = "QRE_DMAX"
+
+
+def _capped(bound: str, minimum: int) -> dict:
+    return {"type": "integer", "minimum": minimum, "maximum": SEARCH_CAPS[bound]}
+
 
 _DURATION = {
     "type": "object",
@@ -181,10 +183,10 @@ _SCHEMA = {
                 "factory": {
                     "type": "object",
                     "properties": {
-                        "max_rounds": {"type": "integer", "minimum": 1},
+                        "max_rounds": _capped("max_rounds", 1),
                         "min_distance": {"type": "integer", "minimum": 3},
-                        "max_distance": {"type": "integer", "minimum": 3},
-                        "max_final_copies": {"type": "integer", "minimum": 1},
+                        "max_distance": _capped("max_distance", 3),
+                        "max_final_copies": _capped("max_final_copies", 1),
                     },
                     "additionalProperties": False,
                 },
@@ -197,14 +199,12 @@ _SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = Draft202012Validator(_SCHEMA)
-
 # The published Ising dynamics workload runs with this end-to-end budget;
 # inline ising jobs inherit it unless they say otherwise.
 _DEFAULT_ISING_BUDGET = 1e-3
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """A fully resolved job, ready for :func:`qre.report.run`."""
 
@@ -240,10 +240,53 @@ def _reject_non_finite(node: Any, *path: Any) -> None:
             _reject_non_finite(value, *path, index)
 
 
-def _schema_pass(obj: Any) -> None:
-    error = best_match(_VALIDATOR.iter_errors(obj))
-    if error is not None:
-        raise SchemaError(error.message, _pointer(*error.absolute_path))
+# JSON types as Python types; "integer" means a Python int (no 2.0), and
+# neither numeric type admits a bool.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+
+
+def _is_type(node: Any, name: str) -> bool:
+    return isinstance(node, _TYPES[name]) and not isinstance(node, bool)
+
+
+def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> None:
+    """Raise the first violation of ``schema`` in document order, checking a
+    node before its children. Only the keywords ``_SCHEMA`` uses are known;
+    ``anyOf`` follows the one branch whose ``type`` matches."""
+
+    def fail(message: str) -> NoReturn:
+        raise SchemaError(message, _pointer(*path))
+
+    if "anyOf" in schema:
+        branches = [s for s in schema["anyOf"] if _is_type(node, s["type"])]
+        if not branches:
+            fail(f"{node!r} is not valid under any of the given schemas")
+        schema = branches[0]
+    if "type" in schema and not _is_type(node, schema["type"]):
+        fail(f"{node!r} is not of type {schema['type']!r}")
+    if "enum" in schema and node not in schema["enum"]:
+        fail(f"{node!r} is not one of {schema['enum']!r}")
+    if "minimum" in schema and node < schema["minimum"]:
+        fail(f"{node!r} is less than the minimum of {schema['minimum']!r}")
+    if "maximum" in schema and node > schema["maximum"]:
+        fail(f"{node!r} is greater than the maximum of {schema['maximum']!r}")
+    if isinstance(node, list):
+        for index, item in enumerate(node):
+            _schema_pass(item, schema["items"], *path, index)
+    if not isinstance(node, dict):
+        return
+    properties = schema.get("properties", {})
+    for key in schema.get("required", ()):
+        if key not in node:
+            fail(f"{key!r} is a required property")
+    extra = [key for key in node if key not in properties]
+    if extra and schema.get("additionalProperties") is False:
+        fail(f"Additional properties are not allowed ({extra[0]!r} was unexpected)")
+    if not schema.get("minProperties", 0) <= len(node) <= schema.get("maxProperties", len(node)):
+        fail(f"{node!r} has {len(node)} properties, outside the allowed range")
+    for key, value in node.items():
+        if key in properties:
+            _schema_pass(value, properties[key], *path, key)
 
 
 def _resolve_qubit(spec: Any) -> PhysicalQubitParams:
@@ -354,21 +397,13 @@ def parse_job(obj: Any) -> JobSpec:
         raise SchemaError("job nests too deeply to check") from None
     _schema_pass(obj)
 
+    # The schema pass fixed every object's keys, so they map onto fields.
     overrides = obj.get("overrides", {})
-    synthesis_over = overrides.get("synthesis", {})
-    base_synthesis = SynthesisModel()
-    synthesis = SynthesisModel(
-        scale=synthesis_over.get("scale", base_synthesis.scale),
-        offset=synthesis_over.get("offset", base_synthesis.offset),
-    )
+    synthesis = SynthesisModel(**overrides.get("synthesis", {}))
 
     split: BudgetSplit | None = None
     if "budget_split" in obj:
-        split = BudgetSplit(
-            logical=obj["budget_split"]["logical"],
-            distillation=obj["budget_split"]["distillation"],
-            synthesis=obj["budget_split"]["synthesis"],
-        )
+        split = BudgetSplit(**obj["budget_split"])
         try:
             split.validate()
         except ParameterError as exc:
@@ -382,15 +417,7 @@ def parse_job(obj: Any) -> JobSpec:
 
     factory_bounds = None
     if "factory" in overrides:
-        base_bounds = SearchBounds()
-        factory_bounds = SearchBounds(
-            max_rounds=overrides["factory"].get("max_rounds", base_bounds.max_rounds),
-            min_distance=overrides["factory"].get("min_distance", base_bounds.min_distance),
-            max_distance=overrides["factory"].get("max_distance", base_bounds.max_distance),
-            max_final_copies=overrides["factory"].get(
-                "max_final_copies", base_bounds.max_final_copies
-            ),
-        )
+        factory_bounds = SearchBounds(**overrides["factory"])
         try:
             factory_bounds.validate()
         except ParameterError as exc:

@@ -10,9 +10,8 @@ enforces the contract before any estimate is run.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import Any
-
-from attrs import frozen
 
 from .errors import ParameterError, UnknownPresetError
 
@@ -46,7 +45,7 @@ def _duration_to_ns(obj: Any, where: str) -> int:
     return int(ns)
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class PhysicalQubitParams:
     """Hardware-level qubit description.
 

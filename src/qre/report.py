@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import dataclass
 from typing import Any
-
-from attrs import frozen
 
 from ._version import __version__
 from .display import format_duration, format_percent, format_qubit_count
@@ -37,7 +36,7 @@ _CSV_FIELDS = (
 )
 
 
-@frozen
+@dataclass(frozen=True, slots=True)
 class Report:
     version: str
     job: Any

@@ -1,7 +1,8 @@
 """Code scaling models: tile sizes, step times, error suppression, selection."""
 
+from dataclasses import replace
+
 import pytest
-from attrs import evolve
 
 from qre import (
     BUILTIN_CODES,
@@ -160,13 +161,13 @@ class TestCustomCodeValidation:
 
     def test_zero_step_time_rejected(self):
         with pytest.raises(ParameterError, match="step time"):
-            evolve(SURFACE_GATE, step_gate_factor=0, step_meas_factor=0).validate()
+            replace(SURFACE_GATE, step_gate_factor=0, step_meas_factor=0).validate()
 
     def test_shrinking_tile_rejected(self):
         with pytest.raises(ParameterError, match="grow"):
-            evolve(SURFACE_GATE, tile_quadratic=0, tile_linear=-1, tile_constant=100).validate()
+            replace(SURFACE_GATE, tile_quadratic=0, tile_linear=-1, tile_constant=100).validate()
 
     def test_gate_factor_needs_gate_based_hardware(self):
-        bad = evolve(HASTINGS_HAAH, step_gate_factor=1)
+        bad = replace(HASTINGS_HAAH, step_gate_factor=1)
         with pytest.raises(ParameterError, match="gate time factor"):
             bad.validate()

@@ -34,31 +34,23 @@ def _logical(kind, code, qubit, distance):
 
 class TestUnitOutputError:
     def test_perfect_inputs(self):
-        assert unit_output_error(SE, UnitLevel.LOGICAL, 0.0, 0.0) == (0.0, 1.0)
+        assert unit_output_error(0.0, 0.0) == (0.0, 1.0)
 
     def test_documented_example(self):
-        out, acc = unit_output_error(SE, UnitLevel.LOGICAL, 1e-4, 3e-6)
+        out, acc = unit_output_error(1e-4, 3e-6)
         assert out == pytest.approx(2.13e-5, rel=1e-3)
         assert acc == pytest.approx(0.997432)
 
-    def test_kind_and_level_do_not_change_first_order_model(self):
-        results = {
-            unit_output_error(kind, level, 1e-3, 1e-5)
-            for kind in UnitKind
-            for level in UnitLevel
-        }
-        assert len(results) == 1
-
     def test_rejects_errors_outside_unit_interval(self):
         with pytest.raises(ValidityRangeError, match="formula out of validity range"):
-            unit_output_error(SE, UnitLevel.PHYSICAL, -0.1, 0.0)
+            unit_output_error(-0.1, 0.0)
         with pytest.raises(ValidityRangeError, match="formula out of validity range"):
-            unit_output_error(SE, UnitLevel.PHYSICAL, 0.0, 1.0)
+            unit_output_error(0.0, 1.0)
 
     def test_rejects_vanishing_acceptance(self):
         # 15 * 0.07 already eats the whole acceptance probability
         with pytest.raises(ValidityRangeError, match="acceptance"):
-            unit_output_error(SE, UnitLevel.PHYSICAL, 0.07, 0.0)
+            unit_output_error(0.07, 0.0)
 
 
 class TestUnitCosts:
@@ -259,6 +251,14 @@ class TestSearch:
             SearchBounds(max_rounds=0).validate()
         with pytest.raises(ParameterError):
             SearchBounds(min_distance=9, max_distance=5).validate()
+
+    @pytest.mark.parametrize(
+        "field, cap", [("max_rounds", 4), ("max_distance", 35), ("max_final_copies", 4)]
+    )
+    def test_bounds_are_capped(self, field, cap):
+        SearchBounds(**{field: cap}).validate()
+        with pytest.raises(ParameterError, match="capped"):
+            SearchBounds(**{field: cap + 1}).validate()
 
     def test_narrow_bounds_change_the_answer(self):
         q = qubit_preset("ns-e4")

@@ -346,6 +346,42 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "obj, pointer",
+        [
+            (_job(application={"ising": {"N": 1e300, "T": 1}}), "/application/ising/N"),
+            (_job(application={"ising": {"N": 100.0, "T": 1}}), "/application/ising/N"),
+            (_job(overrides={"factory": {"max_rounds": 2.0}}), "/overrides/factory/max_rounds"),
+            (_job(overrides={"factory": {"min_distance": 3.0}}), "/overrides/factory/min_distance"),
+            (
+                _job(application={"counts": {"algorithm_qubits": 10.0, "error_budget": 1e-3}}),
+                "/application/counts/algorithm_qubits",
+            ),
+            (_job(overrides={"factory": {"max_rounds": 5}}), "/overrides/factory/max_rounds"),
+            (_job(overrides={"factory": {"max_distance": 1001}}), "/overrides/factory/max_distance"),
+            (
+                _job(overrides={"factory": {"max_final_copies": 100}}),
+                "/overrides/factory/max_final_copies",
+            ),
+        ],
+        ids=[
+            "huge-float-sites",
+            "integral-float-sites",
+            "integral-float-rounds",
+            "integral-float-min-distance",
+            "integral-float-qubits",
+            "rounds-over-cap",
+            "distance-over-cap",
+            "copies-over-cap",
+        ],
+    )
+    def test_cli_rejects_at_pointer(self, tmp_path, capsys, obj, pointer):
+        """Integers must be JSON integers, and the factory search is capped."""
+        assert main(["estimate", "--job", _write(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.endswith(f"(at {pointer})\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("factors, expected", [("1e308", 1), ("1,inf", 2), ("nan", 2)])
     def test_cli_factor_flag(self, tmp_path, capsys, factors, expected):
         path = _write(tmp_path, _job())
@@ -393,9 +429,10 @@ class TestHostileInput:
 
 
 def test_cli_import_needs_no_scipy_or_numpy():
+    banned = ("scipy", "numpy", "jsonschema", "referencing", "rpds", "attr", "attrs")
     code = (
         "import sys, qre.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {banned!r}))"
     )
     src = str(Path(qre.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -8,11 +8,11 @@ frontier determinism, and agreement with a straight-line re-implementation
 of the whole pipeline on small instances.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-import attrs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
@@ -56,8 +56,8 @@ def _requirements(logical_qubits, min_time_steps, t_states, budget):
 @settings(deadline=None, derandomize=True, max_examples=250)
 def test_distance_minimality(prefactor, threshold, ratio, exponent):
     """The selected distance meets the target and the next one down does not."""
-    code = attrs.evolve(SURFACE_GATE, error_prefactor=prefactor, threshold=threshold)
-    qubit = attrs.evolve(
+    code = dataclasses.replace(SURFACE_GATE, error_prefactor=prefactor, threshold=threshold)
+    qubit = dataclasses.replace(
         qubit_preset("ns-e4"), name="synthetic", p_clifford=ratio * threshold
     )
     target = 10.0**exponent

@@ -7,11 +7,11 @@ factory for every target, and report the same best error when no factory
 meets it.
 """
 
+import dataclasses
 import math
 import sys
 from itertools import combinations_with_replacement, product
 
-import attrs
 import pytest
 
 import qre
@@ -85,7 +85,7 @@ def _oracle(qubit_name, code_name, bounds):
                             acceptances = []
                             for unit in units:
                                 error, acceptance = unit_output_error(
-                                    unit.kind, unit.level, error, unit.clifford_error(qubit)
+                                    error, unit.clifford_error(qubit)
                                 )
                                 acceptances.append(acceptance)
                             copies = [final_copies]
@@ -173,7 +173,7 @@ def test_caches_are_bounded():
 
 
 def test_parallel_frontier_builds_each_staircase_once():
-    qubit = attrs.evolve(qubit_preset("ns-e4"), name="fresh-for-single-flight")
+    qubit = dataclasses.replace(qubit_preset("ns-e4"), name="fresh-for-single-flight")
     reqs = LogicalRequirements(
         logical_qubits=20,
         min_time_steps=500,
