@@ -24,9 +24,9 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from math import isqrt
-from operator import itemgetter
+from heapq import heappop, heappush
+from itertools import count, product
+from math import inf, isqrt
 from typing import NamedTuple, Sequence
 
 from .codes import LogicalPatch, QecCodeModel
@@ -43,9 +43,10 @@ ACCOUNTING_CONFIDENCE = 0.99
 
 _PROVISION_LIMIT = 10**9
 
-# Largest factory search bounds accepted. The walk grows steeply in each
-# (five rounds alone take about 12 s); at all three caps a cold search on
-# a preset qubit takes 4 to 6 s on a 2-core x86 machine.
+# Largest factory search bounds accepted; the search space grows steeply in
+# each. At all three caps a sweep run to its end takes 6 ms to 0.3 s on a
+# preset qubit (2-core x86 machine), where walking every candidate took 3
+# to 5 s.
 SEARCH_CAPS = {"max_rounds": 4, "max_distance": 35, "max_final_copies": 4}
 
 
@@ -99,9 +100,10 @@ def unit_output_error(input_error: float, clifford_error: float) -> tuple[float,
     return output, acceptance
 
 
-# Cache bounds: the 8 compatible (qubit preset, code) pairs fill 8 staircases
-# and about 1.3k provisioning and 10.7k output-count keys under the default
-# search bounds, and each bound holds about three times that.
+# Cache bounds: under the default search bounds the preset jobs fill 6 sweeps,
+# 13 provisioning and 187 output-count keys, and the 8 compatible (qubit
+# preset, code) sweeps run to their ends fill about 250 and 1.9k; each bound
+# holds many times that, for sweeps over other hardware.
 @lru_cache(maxsize=4096)
 def provisioned_copies(required: int, acceptance: float) -> int:
     """Smallest copy count delivering ``required`` successes at 99%
@@ -360,72 +362,198 @@ class _Unit(NamedTuple):
     clifford_error: float
 
 
-@lru_cache(maxsize=32)
-def _staircase(
-    qubit: PhysicalQubitParams, code: QecCodeModel, bounds: SearchBounds
-) -> tuple[tuple[float, ...], tuple[TFactory, ...]]:
-    """The staircase members, cheapest first, with their negated output
-    errors (a rising sequence, for :func:`bisect_left`). Every configuration
-    is walked once, in generation order, on plain numbers."""
-    distances = [d for d in range(bounds.min_distance, bounds.max_distance + 1) if d % 2]
+# Relative slack on a subtree's error bound, against rounding in the chain.
+_BOUND_SLACK = 1e-9
 
-    def unit(kind: UnitKind, patch: LogicalPatch | None = None) -> _Unit:
-        spec = DistillationUnitSpec(kind=kind, patch=patch)
-        return _Unit(spec, spec.qubit_cost(), spec.duration(qubit), spec.clifford_error(qubit))
 
-    patches = {d: make_patch(code, qubit, d) for d in distances}
-    logical = {(k, d): unit(k, patches[d]) for d in distances for k in UnitKind}
-    firsts: list[_Unit | None] = [None]
-    if qubit.instruction_set is InstructionSet.MAJORANA:
-        firsts += [unit(k) for k in UnitKind]
+class _Sweep:
+    """The Pareto staircase of one (qubit, code, bounds), settled on demand.
 
-    # (qubit-seconds, qubits, duration, output error, units, copies)
-    found: list[tuple] = []
-    for total_rounds in range(1, bounds.max_rounds + 1):
-        for first in firsts:
-            prefix = () if first is None else (first,)
-            logical_rounds = total_rounds - len(prefix)
-            if logical_rounds < 1:
-                # The final round must hand over encoded states.
+    A configuration is a shape (an optional physical first unit, then the
+    logical unit kinds), non-decreasing distances and a final copy count.
+    More final copies cost no less and leave the error as it is, so only
+    the fewest that deliver an output can join the staircase. Each shape's
+    distance tuples form a tree rooted at the smallest distance: a child
+    raises one distance, at or before the position its parent raised, so
+    every tuple has one parent. Raising a distance makes nothing cheaper:
+    tile qubits and step time grow with it (:meth:`QecCodeModel.validate`).
+
+    The heap holds unprovisioned nodes keyed by a lower bound on the cost of
+    every configuration in their subtree, and provisioned configurations
+    keyed by the exact cost key (qubit-seconds, qubits, duration,
+    generation order). In the bound, durations and unit sizes are the
+    node's own, and each round has at least 15 times the next round's
+    copies and more than ``(required - 1) / acceptance`` (as
+    ``reliable_outputs(m, a) <= ceil(m * a)``), with each acceptance taken
+    at the subtree's largest distances. A bound entry pops before an exact
+    entry of equal cost, so exact entries pop in cost order, and one whose
+    error is below the last member's joins the staircase.
+
+    A node is neither provisioned nor expanded once its subtree cannot beat
+    the last member: the chain at the subtree's largest distances bounds
+    its error from below. No factory errs below ``7.1 * p`` at the smallest
+    logical error ``p``, so a member at that floor finishes the sweep.
+    """
+
+    def __init__(
+        self, qubit: PhysicalQubitParams, code: QecCodeModel, bounds: SearchBounds
+    ) -> None:
+        qubit.validate()
+        code.validate()
+        self.qubit = qubit
+        distances = [d for d in range(bounds.min_distance, bounds.max_distance + 1) if d % 2]
+
+        def unit(kind: UnitKind, patch: LogicalPatch | None = None) -> _Unit:
+            spec = DistillationUnitSpec(kind=kind, patch=patch)
+            return _Unit(spec, spec.qubit_cost(), spec.duration(qubit), spec.clifford_error(qubit))
+
+        patches = {d: make_patch(code, qubit, d) for d in distances}
+        logical = {k: {d: unit(k, patches[d]) for d in distances} for k in UnitKind}
+        firsts: list[_Unit | None] = [None]
+        if qubit.instruction_set is InstructionSet.MAJORANA:
+            firsts += [unit(k) for k in UnitKind]
+        # In generation order: the prefix units and, per logical round, the
+        # unit at each distance. The final round must hand over encoded states.
+        self._shapes = [
+            (prefix, tuple(logical[k] for k in kinds))
+            for total_rounds in range(1, bounds.max_rounds + 1)
+            for prefix in (() if first is None else (first,) for first in firsts)
+            if total_rounds > len(prefix)
+            for kinds in product(UnitKind, repeat=total_rounds - len(prefix))
+        ]
+        self._max_final = bounds.max_final_copies
+        # Negated member errors (a rising sequence, for bisect_left) and members.
+        self.errors: list[float] = []
+        self.factories: list[TFactory] = []
+        self._best = inf  # the last member's error
+        self._heap: list[tuple] = []
+        self._chains: dict[tuple, tuple[float, tuple] | None] = {}
+        self._order = count()
+        if distances:
+            self._top = distances[-1]
+            self._floor = 7.1 * patches[self._top].logical_error
+            for shape, (prefix, tables) in enumerate(self._shapes):
+                units = prefix + tuple(table[distances[0]] for table in tables)
+                self._push(shape, (distances[0],) * len(tables), len(tables) - 1, units)
+
+    def _chain(self, shape: int, distances: tuple[int, ...]) -> tuple[float, tuple] | None:
+        """Output error and round acceptances of the shape's rounds up to
+        ``len(distances)``, or None outside the formula's validity range;
+        memoized on every prefix."""
+        key = (shape, distances)
+        chain = self._chains.get(key, False)
+        if chain is False:
+            prefix, tables = self._shapes[shape]
+            if distances:
+                chain = self._chain(shape, distances[:-1])
+                units = (tables[len(distances) - 1][distances[-1]],)
+            else:
+                chain, units = (self.qubit.p_t, ()), prefix
+            if chain is not None:
+                try:
+                    for u in units:
+                        error, acceptance = unit_output_error(chain[0], u.clifford_error)
+                        chain = error, chain[1] + (acceptance,)
+                except ValidityRangeError:
+                    chain = None
+            self._chains[key] = chain
+        return chain
+
+    def _push(
+        self, shape: int, distances: tuple[int, ...], cursor: int, units: tuple[_Unit, ...]
+    ) -> None:
+        """Queue a node whose descendants raise distances up to position ``cursor``."""
+        top = distances[cursor + 1] if cursor + 1 < len(distances) else self._top
+        reach = self._chain(shape, (top,) * (cursor + 1) + distances[cursor + 1 :])
+        if reach is None:
+            return  # nor is any descendant's chain valid
+        floor = reach[0] * (1.0 - _BOUND_SLACK)
+        if floor >= self._best:
+            return
+        copies, qubits = 1, units[-1].qubits
+        for acceptance, u in zip(reach[1][-2::-1], units[-2::-1]):
+            required = 15 * copies
+            # More than (required - 1) / acceptance, less a rounding slack.
+            copies = max(required, int((required - 1) / acceptance * (1.0 - 1e-12)) + 1)
+            qubits = max(qubits, copies * u.qubits)
+        duration = sum([u.duration for u in units])
+        entry = (qubits * duration, 0, next(self._order), floor, shape, distances, cursor, units)
+        heappush(self._heap, entry)
+
+    def _provision(
+        self, shape: int, distances: tuple[int, ...], units: tuple[_Unit, ...]
+    ) -> None:
+        """Queue the node's own configuration with the fewest final copies
+        that deliver, under its exact cost key."""
+        chain = self._chain(shape, distances)
+        if chain is None or chain[0] >= self._best:
+            return
+        error, acceptances = chain
+        for final in range(1, self._max_final + 1):
+            if reliable_outputs(final, acceptances[-1]) == 0:
                 continue
-            for logical_kinds in product(UnitKind, repeat=logical_rounds):
-                for combo in combinations_with_replacement(distances, logical_rounds):
-                    units = prefix + tuple(logical[kd] for kd in zip(logical_kinds, combo))
-                    error = qubit.p_t
-                    acceptances = []
-                    try:
-                        for u in units:
-                            error, acceptance = unit_output_error(error, u.clifford_error)
-                            acceptances.append(acceptance)
-                    except ValidityRangeError:
-                        continue
-                    duration = sum(u.duration for u in units)
-                    for final_copies in range(1, bounds.max_final_copies + 1):
-                        if reliable_outputs(final_copies, acceptances[-1]) == 0:
-                            continue
-                        copies = [final_copies]
-                        try:
-                            for acceptance in acceptances[-2::-1]:
-                                copies.append(provisioned_copies(15 * copies[-1], acceptance))
-                        except ValidityRangeError:
-                            continue
-                        copies.reverse()
-                        qubits = max(c * u.qubits for c, u in zip(copies, units))
-                        found.append((qubits * duration, qubits, duration, error, units, copies))
+            copies = [final]
+            try:
+                for acceptance in acceptances[-2::-1]:
+                    copies.append(provisioned_copies(15 * copies[-1], acceptance))
+            except ValidityRangeError:
+                continue
+            copies.reverse()
+            qubits = max([c * u.qubits for c, u in zip(copies, units)])
+            duration = sum([u.duration for u in units])
+            order = (shape, distances, final)
+            heappush(self._heap, (qubits * duration, qubits, duration, order, error, units, copies))
+            return
 
-    # A stable sort keeps generation order as the last tie-break.
-    found.sort(key=itemgetter(0, 1, 2))
-    errors: list[float] = []
-    factories: list[TFactory] = []
-    for _, _, _, error, units, copies in found:
-        if not errors or error < -errors[-1]:
-            rounds = [TFactoryRound(unit=u.spec, copies=c) for u, c in zip(units, copies)]
-            factories.append(evaluate_factory(rounds, qubit))
-            errors.append(-error)
-    return tuple(errors), tuple(factories)
+    def settle(self, target: float) -> None:
+        """Advance until a member meets ``target`` or the sweep ends; a
+        finished sweep keeps only its members."""
+        heap = self._heap
+        while heap and self._best > target:
+            entry = heappop(heap)
+            try:
+                self._step(entry)
+            except BaseException:
+                heappush(heap, entry)  # an interrupted step is redone, never lost
+                raise
+        self._chains.clear()  # a paused sweep keeps only its heap
+
+    def _step(self, entry: tuple) -> None:
+        if entry[1]:
+            error, units, copies = entry[4:]
+            if error < self._best:
+                rounds = [TFactoryRound(unit=u.spec, copies=c) for u, c in zip(units, copies)]
+                factory = evaluate_factory(rounds, self.qubit)
+                self.factories.append(factory)
+                self.errors.append(-error)
+                self._best = error
+                if error <= self._floor:
+                    self._heap.clear()
+            return
+        floor, shape, distances, cursor, units = entry[3:]
+        if floor >= self._best:
+            return
+        self._provision(shape, distances, units)
+        tables = self._shapes[shape][1]
+        offset = len(units) - len(distances)
+        for j in range(cursor, -1, -1):
+            limit = distances[j + 1] if j + 1 < len(distances) else self._top
+            if distances[j] < limit:
+                d = distances[j] + 2
+                self._push(
+                    shape,
+                    distances[:j] + (d,) + distances[j + 1 :],
+                    j,
+                    units[: offset + j] + (tables[j][d],) + units[offset + j + 1 :],
+                )
 
 
-# One build per (qubit, code, bounds), even when frontier threads miss together.
+@lru_cache(maxsize=32)
+def _sweep(qubit: PhysicalQubitParams, code: QecCodeModel, bounds: SearchBounds) -> _Sweep:
+    return _Sweep(qubit, code, bounds)
+
+
+# One sweep per (qubit, code, bounds), and one query advancing it at a time.
 _STAIRCASE_LOCK = threading.Lock()
 
 
@@ -442,22 +570,27 @@ def search_factory(
     Raises :class:`NoFactoryError` (carrying the best error any candidate
     achieved) when the bounded space cannot reach the target.
 
-    The candidate set does not depend on the target, so the first query per
-    (qubit, code, bounds) builds its Pareto staircase: the candidates in
-    cost order whose output error is strictly below that of every cheaper
-    one. The cheapest candidate meeting any target is on it, so a query is
-    a bisection. Up to 32 staircases are cached (least recently used
-    first out), each of 20 to 183 factories for the preset qubits under
-    the default bounds; one lock makes concurrent first queries build a
-    staircase once.
+    The candidate set does not depend on the target. Its Pareto staircase
+    is the candidates in cost order whose output error is strictly below
+    that of every cheaper one, and the cheapest candidate meeting any
+    target is on it. One sweep per (qubit, code, bounds) settles members
+    in cost order only as far as the queries need: a query that a settled
+    member meets is a bisection, a harder one resumes the sweep, and one
+    that no candidate meets runs it to its end. Up to 32 sweeps are cached
+    (least recently used first out); under the default bounds the preset
+    qubits' staircases hold 20 to 183 factories. One lock makes concurrent
+    queries share a sweep. Raises :class:`ParameterError` for a qubit or
+    code that fails ``validate()``: the sweep's cost bounds rely on it.
     """
     if not target_error > 0:
         raise ParameterError("target error must be positive")
     bounds = SearchBounds() if bounds is None else bounds
     bounds.validate()
     with _STAIRCASE_LOCK:
-        errors, factories = _staircase(qubit, code, bounds)
-    index = bisect_left(errors, -target_error)
-    if index == len(factories):
-        raise NoFactoryError(target_error, -errors[-1] if errors else None)
-    return factories[index]
+        sweep = _sweep(qubit, code, bounds)
+        sweep.settle(target_error)
+        errors, factories = sweep.errors, sweep.factories
+        index = bisect_left(errors, -target_error)
+        if index < len(factories):
+            return factories[index]
+    raise NoFactoryError(target_error, -errors[-1] if errors else None)

@@ -12,7 +12,6 @@ what :func:`frontier` sweeps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,7 +19,7 @@ from .codes import QecCodeModel, select_code
 from .counting import LogicalRequirements
 from .distillation import SearchBounds, TFactory, search_factory
 from .display import format_duration
-from .errors import ParameterError
+from .errors import EstimatorError, ParameterError
 from .qubits import PhysicalQubitParams
 
 _MAX_PASSES = 5
@@ -124,7 +123,9 @@ def estimate(
     The step count, code distance, and factory interlock: more steps loosen
     the per-step logical target but tighten nothing else, while a factory
     slower than the whole schedule forces more steps. A handful of passes
-    settles this; in practice two suffice.
+    settles this; in practice two suffice. The result always has a factory
+    no slower than its runtime: an interlock still unsettled after
+    ``_MAX_PASSES`` passes raises :class:`EstimatorError`.
     """
     qubit.validate()
     requirements.validate()
@@ -152,6 +153,11 @@ def estimate(
         # A factory slower than the whole schedule would starve the
         # algorithm; pad the schedule and re-settle the distance.
         steps = max(steps, math.ceil(factory.duration / step_time))
+    else:
+        raise EstimatorError(
+            f"schedule and factory did not settle in {_MAX_PASSES} passes "
+            f"(factory {format_duration(factory.duration)}, runtime {format_duration(runtime)})"
+        )
 
     if factory is None:
         factory_count = 0
@@ -185,7 +191,7 @@ def frontier(
     requirements: LogicalRequirements,
     c_factors: tuple[float, ...],
     *,
-    parallel: bool = True,
+    parallel: bool = False,
     codes: tuple[QecCodeModel, ...] | None = None,
     distance_cap: int | None = None,
     factory_bounds: SearchBounds | None = None,
@@ -193,7 +199,8 @@ def frontier(
     """Sweep the space-time tradeoff over several stretch factors.
 
     The result is sorted by step count and identical whether computed in
-    parallel or not; ``parallel`` only changes wall-clock time.
+    parallel or not; ``parallel`` only changes wall-clock time. Threads do
+    not speed up this CPU-bound work, so it is off by default.
     """
     factors = tuple(float(f) for f in c_factors)
     for f in factors:
@@ -213,6 +220,8 @@ def frontier(
     if not factors:
         return ()
     if parallel:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(8, len(factors))) as pool:
             results = list(pool.map(run_one, factors))
     else:

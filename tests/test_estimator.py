@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qre import (
+    EstimatorError,
     LogicalRequirements,
     ParameterError,
     SearchBounds,
@@ -93,6 +94,21 @@ class TestSingleEstimate:
             / (est.factory.output_count * est.runtime)
         )
         assert est.factory_count == expected
+
+
+class TestInterlock:
+    def test_short_schedule_is_padded_to_the_factory(self):
+        # One step cannot host a factory run, so a second pass pads the schedule.
+        est = estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2))
+        assert est.time_steps > 1
+        assert est.factory.duration <= est.runtime == est.time_steps * est.step_time
+
+    def test_unsettled_interlock_raises(self, monkeypatch):
+        from qre import estimator
+
+        monkeypatch.setattr(estimator, "_MAX_PASSES", 1)
+        with pytest.raises(EstimatorError, match="did not settle in 1 passes"):
+            estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2))
 
 
 class TestFrontier:

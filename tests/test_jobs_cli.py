@@ -429,7 +429,8 @@ class TestHostileInput:
 
 
 def test_cli_import_needs_no_scipy_or_numpy():
-    banned = ("scipy", "numpy", "jsonschema", "referencing", "rpds", "attr", "attrs")
+    # concurrent.futures (with logging) is only for frontier(parallel=True).
+    banned = ("scipy", "numpy", "jsonschema", "referencing", "rpds", "attr", "attrs", "concurrent")
     code = (
         "import sys, qre.cli; "
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {banned!r}))"

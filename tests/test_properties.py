@@ -13,15 +13,21 @@ import math
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 from qre import (
     HASTINGS_HAAH,
     SURFACE_GATE,
+    AboveThresholdError,
+    DistanceCapError,
     InstructionSet,
     LogicalRequirements,
+    NoFactoryError,
+    ParameterError,
+    PhysicalQubitParams,
+    QecCodeModel,
     SearchBounds,
     estimate,
     evaluate_factory,
@@ -156,6 +162,64 @@ def test_factories_non_increasing(
     fast = estimate(qubit, reqs, f1, factory_bounds=_MONO_BOUNDS)
     assert slow.factory_count <= fast.factory_count
     assert slow.runtime >= fast.runtime
+
+
+_INTERLOCK_BOUNDS = SearchBounds(max_rounds=2, max_distance=15)
+
+
+@st.composite
+def _majorana_code(draw):
+    code = QecCodeModel(
+        name=f"custom-{draw(st.integers(0, 10**6))}",
+        instruction_set=InstructionSet.MAJORANA,
+        error_prefactor=draw(st.floats(0.01, 0.3)),
+        threshold=10 ** draw(st.floats(-3.0, -1.5)),
+        tile_quadratic=draw(st.integers(0, 6)),
+        tile_linear=draw(st.integers(-8, 20)),
+        tile_constant=draw(st.integers(-20, 20)),
+        step_gate_factor=0,
+        step_meas_factor=draw(st.integers(1, 30)),
+    )
+    try:
+        code.validate()
+    except ParameterError:
+        assume(False)
+    return code
+
+
+@given(
+    t_meas=st.integers(1, 10**4),
+    p_clifford=st.floats(-6.0, -3.5),
+    p_t=st.floats(-4.0, -1.3),
+    codes=st.lists(_majorana_code(), min_size=1, max_size=3),
+    logical_qubits=st.integers(1, 100),
+    min_steps=st.integers(1, 10**4),
+    t_states=st.integers(1, 10**10),
+    budget=st.floats(1e-4, 0.1),
+    c_factor=st.floats(1.0, 4.0),
+)
+@settings(deadline=None, derandomize=True, max_examples=150)
+def test_interlock_factory_keeps_up(
+    t_meas, p_clifford, p_t, codes, logical_qubits, min_steps, t_states, budget, c_factor
+):
+    """Every returned estimate runs its factory within its runtime, also when
+    the schedule's padding switches between codes and so between factories."""
+    qubit = PhysicalQubitParams(
+        name="interlock",
+        instruction_set=InstructionSet.MAJORANA,
+        t_meas=t_meas,
+        p_clifford=10**p_clifford,
+        p_t=10**p_t,
+    )
+    reqs = _requirements(logical_qubits, min_steps, t_states, budget)
+    try:
+        est = estimate(
+            qubit, reqs, c_factor, codes=tuple(codes), factory_bounds=_INTERLOCK_BOUNDS
+        )
+    except (NoFactoryError, DistanceCapError, AboveThresholdError):
+        return
+    assert est.runtime == est.time_steps * est.step_time
+    assert est.factory.duration <= est.runtime
 
 
 _FRONTIER_BOUNDS = SearchBounds(max_rounds=2, max_distance=13)
