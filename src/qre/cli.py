@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
-from typing import Any, NoReturn
+from typing import Any
 
 from ._version import __version__
+from .bounds import BOUNDS
 from .codes import BUILTIN_CODES
 from .counting import application_preset, application_preset_names
 from .errors import EstimatorError, SchemaError
@@ -51,17 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reject_constant(name: str) -> NoReturn:
-    raise SchemaError(f"job file is not valid JSON: {name} is not a JSON number")
-
-
 def _load_job_file(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=_reject_constant)
+            return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read job file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"job file is not valid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("job file nests too deeply to parse") from None
@@ -72,8 +68,9 @@ def _parse_factors(text: str) -> tuple[float, ...]:
         factors = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise SchemaError(f"--factors must be comma-separated numbers, got {text!r}") from None
-    if not all(math.isfinite(f) for f in factors):
-        raise SchemaError(f"--factors must be finite numbers, got {text!r}")
+    lo, hi = BOUNDS["stretch"]
+    if not all(lo <= f <= hi for f in factors):
+        raise SchemaError(f"--factors must be finite numbers in [{lo:g}, {hi:g}], got {text!r}")
     return factors
 
 

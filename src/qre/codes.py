@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import check
 from .errors import (
     AboveThresholdError,
     DistanceCapError,
@@ -56,12 +57,13 @@ class QecCodeModel:
     def validate(self) -> None:
         if not self.name:
             raise ParameterError("code model needs a name")
-        if self.error_prefactor <= 0:
-            raise ParameterError(f"code {self.name!r}: error prefactor must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ParameterError(f"code {self.name!r}: probability out of range (threshold)")
-        if self.step_gate_factor < 0 or self.step_meas_factor < 0:
-            raise ParameterError(f"code {self.name!r}: negative step time factor")
+        for field, bound in (
+            ("error_prefactor", "error_prefactor"), ("threshold", "probability"),
+            ("tile_quadratic", "tile_coefficient"), ("tile_linear", "tile_coefficient"),
+            ("tile_constant", "tile_coefficient"), ("step_gate_factor", "step_factor"),
+            ("step_meas_factor", "step_factor"),
+        ):
+            check(bound, getattr(self, field), f"code {self.name!r}: {field}")
         if self.step_gate_factor == 0 and self.step_meas_factor == 0:
             raise ParameterError(f"code {self.name!r}: step time is identically zero")
         if self.step_gate_factor > 0 and self.instruction_set is not InstructionSet.GATE_BASED:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .bounds import check
 from .errors import ParameterError, UnknownPresetError
 
 
@@ -29,8 +30,8 @@ class SynthesisModel:
     offset: float = 5.3
 
     def validate(self) -> None:
-        if self.scale < 0 or self.offset < 0:
-            raise ParameterError("synthesis constants must be non-negative")
+        check("synthesis", self.scale, "synthesis scale")
+        check("synthesis", self.offset, "synthesis offset")
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,8 +44,8 @@ class BudgetSplit:
 
     def validate(self) -> None:
         parts = (self.logical, self.distillation, self.synthesis)
-        if any(not 0.0 < f < 1.0 for f in parts):
-            raise ParameterError("budget split fractions must be in (0, 1)")
+        for part in parts:
+            check("budget_share", part, "budget split fraction")
         if sum(parts) > 1.0 + 1e-9:
             raise ParameterError("budget split fractions must sum to at most 1")
 
@@ -68,8 +69,7 @@ class AlgorithmCounts:
     error_budget: float
 
     def validate(self) -> None:
-        if self.algorithm_qubits < 1:
-            raise ParameterError("algorithm needs at least one qubit")
+        check("qubits", self.algorithm_qubits, "algorithm qubits")
         for label, value in (
             ("measurements", self.measurements),
             ("rotations", self.rotations),
@@ -79,10 +79,10 @@ class AlgorithmCounts:
         ):
             if value < 0:
                 raise ParameterError(f"negative count: {label}")
+            check("count", value, label)
         if self.rotations > 0 and self.rotation_layers < 1:
             raise ParameterError("rotation layers required when rotations are present")
-        if not 0.0 < self.error_budget < 1.0:
-            raise ParameterError("probability out of range (error_budget)")
+        check("error_budget", self.error_budget, "error_budget")
 
     def to_json(self) -> dict:
         return {
@@ -134,21 +134,16 @@ class LogicalRequirements:
         return self.distillation_budget / self.t_states
 
     def validate(self) -> None:
-        if self.logical_qubits < 1:
-            raise ParameterError("at least one logical qubit is required")
-        if self.min_time_steps < 1:
-            raise ParameterError("at least one logical time step is required")
-        if self.t_states < 0:
-            raise ParameterError("negative count: t_states")
-        if not 0.0 < self.error_budget < 1.0:
-            raise ParameterError("probability out of range (error_budget)")
+        check("logical_qubits", self.logical_qubits, "logical qubits")
+        check("derived_time_steps", self.min_time_steps, "min_time_steps")
+        check("derived_count", self.t_states, "t_states")
+        check("error_budget", self.error_budget, "error_budget")
         for label, part in (
             ("logical", self.logical_budget),
             ("distillation", self.distillation_budget),
             ("synthesis", self.synthesis_budget),
         ):
-            if not 0.0 < part < 1.0:
-                raise ParameterError(f"probability out of range ({label} budget)")
+            check("budget_part", part, f"{label} budget")
         total = self.logical_budget + self.distillation_budget + self.synthesis_budget
         if total > self.error_budget * (1 + 1e-9):
             raise ParameterError("budget parts exceed the total error budget")
@@ -163,22 +158,6 @@ class LogicalRequirements:
             synthesis_budget=split.synthesis * self.error_budget,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "logical_qubits": self.logical_qubits,
-            "min_time_steps": self.min_time_steps,
-            "t_states": self.t_states,
-            "error_budget": self.error_budget,
-            "logical_budget": self.logical_budget,
-            "distillation_budget": self.distillation_budget,
-            "synthesis_budget": self.synthesis_budget,
-            "max_t_state_error": _json_number(self.max_t_state_error),
-        }
-
-
-def _json_number(x: float) -> float | None:
-    return None if math.isinf(x) else x
-
 
 def rotation_t_count(
     synthesis_budget: float,
@@ -190,18 +169,15 @@ def rotation_t_count(
     Zero rotations need zero T gates; otherwise each rotation is synthesized
     to accuracy ``synthesis_budget / rotations``.
     """
-    if rotations < 0:
-        raise ParameterError("negative count: rotations")
+    check("count", rotations, "rotations")
     if rotations == 0:
         return 0
     if not synthesis_budget > 0:
         raise ParameterError("synthesis budget must be positive")
+    check("budget_part", synthesis_budget, "synthesis budget")
     model = SynthesisModel() if model is None else model
     model.validate()
-    per_rotation = model.scale * math.log2(rotations / synthesis_budget) + model.offset
-    if not math.isfinite(per_rotation):
-        raise ParameterError(f"T count per rotation overflows at {rotations:g} rotations")
-    return math.ceil(per_rotation)
+    return math.ceil(model.scale * math.log2(rotations / synthesis_budget) + model.offset)
 
 
 def _compiled_qubits(algorithm_qubits: int) -> int:
@@ -269,8 +245,7 @@ def ising_counts(
     """
     if sites < 4 or math.isqrt(sites) ** 2 != sites:
         raise ParameterError("lattice sites must be a perfect square of at least 4")
-    if trotter_steps < 1:
-        raise ParameterError("at least one Trotter step is required")
+    check("trotter_steps", trotter_steps, "Trotter steps")
     counts = AlgorithmCounts(
         algorithm_qubits=sites,
         measurements=sites if measurements is None else measurements,

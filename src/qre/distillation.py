@@ -29,6 +29,7 @@ from itertools import count, product
 from math import inf, isqrt
 from typing import NamedTuple, Sequence
 
+from .bounds import BOUNDS
 from .codes import LogicalPatch, QecCodeModel
 from .codes import patch as make_patch
 from .errors import (
@@ -43,11 +44,12 @@ ACCOUNTING_CONFIDENCE = 0.99
 
 _PROVISION_LIMIT = 10**9
 
-# Largest factory search bounds accepted; the search space grows steeply in
-# each. At all three caps a sweep run to its end takes 6 ms to 0.3 s on a
-# preset qubit (2-core x86 machine), where walking every candidate took 3
-# to 5 s.
-SEARCH_CAPS = {"max_rounds": 4, "max_distance": 35, "max_final_copies": 4}
+# Largest factory search bounds accepted.
+SEARCH_CAPS = {
+    "max_rounds": BOUNDS["max_rounds"][1],
+    "max_distance": BOUNDS["factory_distance"][1],
+    "max_final_copies": BOUNDS["max_final_copies"][1],
+}
 
 
 class UnitKind(enum.Enum):
@@ -343,14 +345,6 @@ class SearchBounds:
         for name, cap in SEARCH_CAPS.items():
             if getattr(self, name) > cap:
                 raise ParameterError(f"factory search {name} is capped at {cap}")
-
-    def to_json(self) -> dict:
-        return {
-            "max_rounds": self.max_rounds,
-            "min_distance": self.min_distance,
-            "max_distance": self.max_distance,
-            "max_final_copies": self.max_final_copies,
-        }
 
 
 class _Unit(NamedTuple):

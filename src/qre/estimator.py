@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .bounds import check
 from .codes import QecCodeModel, select_code
 from .counting import LogicalRequirements
 from .distillation import SearchBounds, TFactory, search_factory
@@ -129,12 +130,8 @@ def estimate(
     """
     qubit.validate()
     requirements.validate()
-    if not c_factor >= 1:
-        raise ParameterError("schedule stretch factor must be at least 1")
-    stretched = c_factor * requirements.min_time_steps
-    if not math.isfinite(stretched):
-        raise ParameterError(f"schedule stretch factor {c_factor:g} overflows the step count")
-    steps = max(1, math.ceil(stretched))
+    check("stretch", c_factor, "schedule stretch factor")
+    steps = max(1, math.ceil(c_factor * requirements.min_time_steps))
     target_t_error = requirements.max_t_state_error
     factory: TFactory | None = None
     for _ in range(_MAX_PASSES):
@@ -162,12 +159,9 @@ def estimate(
     if factory is None:
         factory_count = 0
     else:
-        try:
-            factory_count = math.ceil(
-                requirements.t_states * factory.duration / (factory.output_count * runtime)
-            )
-        except OverflowError:
-            raise ParameterError("factory count overflows: durations are too long") from None
+        factory_count = math.ceil(
+            requirements.t_states * factory.duration / (factory.output_count * runtime)
+        )
     physical_qubits = (
         factory_count * (0 if factory is None else factory.qubit_count)
         + requirements.logical_qubits * code.tile_qubits(distance)
@@ -203,9 +197,6 @@ def frontier(
     not speed up this CPU-bound work, so it is off by default.
     """
     factors = tuple(float(f) for f in c_factors)
-    for f in factors:
-        if f < 1:
-            raise ParameterError("schedule stretch factor must be at least 1")
 
     def run_one(f: float) -> PhysicalEstimate:
         return estimate(

@@ -5,8 +5,9 @@ an inline object), plus optional knobs: a schedule stretch factor or a
 frontier sweep, a custom error-budget split, synthesis constants, a code
 distance cap, factory search bounds, and extra code models to consider.
 
-Validation is two-staged: a JSON Schema pass for shape, then semantic
-checks (preset existence, perfect-square lattices, budget arithmetic).
+Validation is two-staged: a JSON Schema pass for shape and numeric range
+(:mod:`qre.bounds`), then semantic checks (preset existence, perfect-square
+lattices, budget arithmetic).
 Both stages report :class:`~qre.errors.SchemaError` with a JSON pointer to
 the offending node.
 """
@@ -16,9 +17,11 @@ from __future__ import annotations
 import copy
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 from typing import Any, NoReturn
 
+from .bounds import BOUNDS, check
 from .codes import BUILTIN_CODES, QecCodeModel
 from .counting import (
     AlgorithmCounts,
@@ -29,21 +32,23 @@ from .counting import (
     ising_counts,
     logical_counts,
 )
-from .distillation import SEARCH_CAPS, SearchBounds
+from .distillation import SearchBounds
 from .errors import ParameterError, SchemaError, UnknownPresetError
 from .qubits import PhysicalQubitParams, qubit_preset
 
 DISTANCE_CAP_ENV = "QRE_DMAX"
 
 
-def _capped(bound: str, minimum: int) -> dict:
-    return {"type": "integer", "minimum": minimum, "maximum": SEARCH_CAPS[bound]}
+def _bounded(kind: str, name: str) -> dict:
+    """A ``number`` or ``integer`` node taking its range from ``BOUNDS``."""
+    minimum, maximum = BOUNDS[name]
+    return {"type": kind, "minimum": minimum, "maximum": maximum}
 
 
 _DURATION = {
     "type": "object",
     "properties": {
-        "value": {"type": "number"},
+        "value": _bounded("number", "duration"),
         "unit": {"enum": ["ns", "us", "ms"]},
     },
     "required": ["value", "unit"],
@@ -57,8 +62,8 @@ _QUBIT = {
         "instruction_set": {"enum": ["gate-based", "majorana"]},
         "t_gate": _DURATION,
         "t_meas": _DURATION,
-        "p_clifford": {"type": "number"},
-        "p_t": {"type": "number"},
+        "p_clifford": _bounded("number", "probability"),
+        "p_t": _bounded("number", "probability"),
     },
     "required": ["instruction_set", "t_meas", "p_clifford", "p_t"],
     "additionalProperties": False,
@@ -67,13 +72,13 @@ _QUBIT = {
 _COUNTS = {
     "type": "object",
     "properties": {
-        "algorithm_qubits": {"type": "integer", "minimum": 1},
-        "measurements": {"type": "number", "minimum": 0},
-        "rotations": {"type": "number", "minimum": 0},
-        "t_gates": {"type": "number", "minimum": 0},
-        "toffoli_gates": {"type": "number", "minimum": 0},
-        "rotation_layers": {"type": "number", "minimum": 0},
-        "error_budget": {"type": "number"},
+        "algorithm_qubits": _bounded("integer", "qubits"),
+        "measurements": _bounded("number", "count"),
+        "rotations": _bounded("number", "count"),
+        "t_gates": _bounded("number", "count"),
+        "toffoli_gates": _bounded("number", "count"),
+        "rotation_layers": _bounded("number", "count"),
+        "error_budget": _bounded("number", "error_budget"),
     },
     "required": ["algorithm_qubits", "error_budget"],
     "additionalProperties": False,
@@ -82,10 +87,10 @@ _COUNTS = {
 _REQUIREMENTS = {
     "type": "object",
     "properties": {
-        "logical_qubits": {"type": "integer", "minimum": 1},
-        "min_time_steps": {"type": "number", "minimum": 1},
-        "t_states": {"type": "number", "minimum": 0},
-        "error_budget": {"type": "number"},
+        "logical_qubits": _bounded("integer", "qubits"),
+        "min_time_steps": _bounded("number", "time_steps"),
+        "t_states": _bounded("number", "count"),
+        "error_budget": _bounded("number", "error_budget"),
     },
     "required": ["logical_qubits", "min_time_steps", "t_states", "error_budget"],
     "additionalProperties": False,
@@ -94,10 +99,10 @@ _REQUIREMENTS = {
 _ISING = {
     "type": "object",
     "properties": {
-        "N": {"type": "integer", "minimum": 4},
-        "T": {"type": "integer", "minimum": 1},
-        "M_meas": {"type": "number", "minimum": 0},
-        "error_budget": {"type": "number"},
+        "N": _bounded("integer", "sites"),
+        "T": _bounded("integer", "trotter_steps"),
+        "M_meas": _bounded("number", "count"),
+        "error_budget": _bounded("number", "error_budget"),
     },
     "required": ["N", "T"],
     "additionalProperties": False,
@@ -108,22 +113,22 @@ _CODE = {
     "properties": {
         "name": {"type": "string"},
         "instruction_set": {"enum": ["gate-based", "majorana"]},
-        "error_prefactor": {"type": "number"},
-        "threshold": {"type": "number"},
+        "error_prefactor": _bounded("number", "error_prefactor"),
+        "threshold": _bounded("number", "probability"),
         "qubits_per_tile": {
             "type": "object",
             "properties": {
-                "quadratic": {"type": "integer"},
-                "linear": {"type": "integer"},
-                "constant": {"type": "integer"},
+                "quadratic": _bounded("integer", "tile_coefficient"),
+                "linear": _bounded("integer", "tile_coefficient"),
+                "constant": _bounded("integer", "tile_coefficient"),
             },
             "additionalProperties": False,
         },
         "step_time": {
             "type": "object",
             "properties": {
-                "gate_factor": {"type": "integer", "minimum": 0},
-                "meas_factor": {"type": "integer", "minimum": 0},
+                "gate_factor": _bounded("integer", "step_factor"),
+                "meas_factor": _bounded("integer", "step_factor"),
             },
             "additionalProperties": False,
         },
@@ -153,17 +158,14 @@ _SCHEMA = {
                 },
             ]
         },
-        "c_factor": {"type": "number", "minimum": 1},
-        "frontier_factors": {
-            "type": "array",
-            "items": {"type": "number", "minimum": 1},
-        },
+        "c_factor": _bounded("number", "stretch"),
+        "frontier_factors": {"type": "array", "items": _bounded("number", "stretch")},
         "budget_split": {
             "type": "object",
             "properties": {
-                "logical": {"type": "number"},
-                "distillation": {"type": "number"},
-                "synthesis": {"type": "number"},
+                "logical": _bounded("number", "budget_share"),
+                "distillation": _bounded("number", "budget_share"),
+                "synthesis": _bounded("number", "budget_share"),
             },
             "required": ["logical", "distillation", "synthesis"],
             "additionalProperties": False,
@@ -174,19 +176,19 @@ _SCHEMA = {
                 "synthesis": {
                     "type": "object",
                     "properties": {
-                        "scale": {"type": "number", "minimum": 0},
-                        "offset": {"type": "number", "minimum": 0},
+                        "scale": _bounded("number", "synthesis"),
+                        "offset": _bounded("number", "synthesis"),
                     },
                     "additionalProperties": False,
                 },
-                "max_code_distance": {"type": "integer", "minimum": 3},
+                "max_code_distance": _bounded("integer", "code_distance"),
                 "factory": {
                     "type": "object",
                     "properties": {
-                        "max_rounds": _capped("max_rounds", 1),
-                        "min_distance": {"type": "integer", "minimum": 3},
-                        "max_distance": _capped("max_distance", 3),
-                        "max_final_copies": _capped("max_final_copies", 1),
+                        "max_rounds": _bounded("integer", "max_rounds"),
+                        "min_distance": _bounded("integer", "factory_distance"),
+                        "max_distance": _bounded("integer", "factory_distance"),
+                        "max_final_copies": _bounded("integer", "max_final_copies"),
                     },
                     "additionalProperties": False,
                 },
@@ -227,19 +229,6 @@ def _pointer(*parts: Any) -> str:
     return "/" + "/".join(str(p) for p in parts) if parts else "/"
 
 
-def _reject_non_finite(node: Any, *path: Any) -> None:
-    # Python's json accepts NaN and Infinity, and the schema's ``minimum``
-    # lets NaN through.
-    if isinstance(node, float) and not math.isfinite(node):
-        raise SchemaError(f"number must be finite, got {node!r}", _pointer(*path))
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _reject_non_finite(value, *path, key)
-    elif isinstance(node, list):
-        for index, value in enumerate(node):
-            _reject_non_finite(value, *path, index)
-
-
 # JSON types as Python types; "integer" means a Python int (no 2.0), and
 # neither numeric type admits a bool.
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
@@ -252,7 +241,9 @@ def _is_type(node: Any, name: str) -> bool:
 def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> None:
     """Raise the first violation of ``schema`` in document order, checking a
     node before its children. Only the keywords ``_SCHEMA`` uses are known;
-    ``anyOf`` follows the one branch whose ``type`` matches."""
+    ``anyOf`` follows the one branch whose ``type`` matches. Every numeric
+    node has both ``minimum`` and ``maximum``, and the range test fails NaN
+    and the infinities. The walk descends only into known keys."""
 
     def fail(message: str) -> NoReturn:
         raise SchemaError(message, _pointer(*path))
@@ -260,16 +251,16 @@ def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> None:
     if "anyOf" in schema:
         branches = [s for s in schema["anyOf"] if _is_type(node, s["type"])]
         if not branches:
-            fail(f"{node!r} is not valid under any of the given schemas")
+            fail(f"{reprlib.repr(node)} is not valid under any of the given schemas")
         schema = branches[0]
     if "type" in schema and not _is_type(node, schema["type"]):
-        fail(f"{node!r} is not of type {schema['type']!r}")
+        fail(f"{reprlib.repr(node)} is not of type {schema['type']!r}")
     if "enum" in schema and node not in schema["enum"]:
-        fail(f"{node!r} is not one of {schema['enum']!r}")
-    if "minimum" in schema and node < schema["minimum"]:
-        fail(f"{node!r} is less than the minimum of {schema['minimum']!r}")
-    if "maximum" in schema and node > schema["maximum"]:
-        fail(f"{node!r} is greater than the maximum of {schema['maximum']!r}")
+        fail(f"{reprlib.repr(node)} is not one of {schema['enum']!r}")
+    if "minimum" in schema:
+        lo, hi = schema["minimum"], schema["maximum"]
+        if not lo <= node <= hi:
+            fail(f"expected a finite number in [{lo:.16g}, {hi:.16g}], got {reprlib.repr(node)}")
     if isinstance(node, list):
         for index, item in enumerate(node):
             _schema_pass(item, schema["items"], *path, index)
@@ -283,7 +274,7 @@ def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> None:
     if extra and schema.get("additionalProperties") is False:
         fail(f"Additional properties are not allowed ({extra[0]!r} was unexpected)")
     if not schema.get("minProperties", 0) <= len(node) <= schema.get("maxProperties", len(node)):
-        fail(f"{node!r} has {len(node)} properties, outside the allowed range")
+        fail(f"{reprlib.repr(node)} has {len(node)} properties, outside the allowed range")
     for key, value in node.items():
         if key in properties:
             _schema_pass(value, properties[key], *path, key)
@@ -380,8 +371,7 @@ def _resolve_distance_cap(overrides: dict) -> int | None:
         cap = int(raw)
     except ValueError:
         raise ParameterError(f"{DISTANCE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 3:
-        raise ParameterError(f"{DISTANCE_CAP_ENV} must be at least 3")
+    check("code_distance", cap, DISTANCE_CAP_ENV)
     return cap
 
 
@@ -391,10 +381,6 @@ def parse_job(obj: Any) -> JobSpec:
     Raises :class:`SchemaError` for anything a user could write wrong, with
     a JSON pointer locating the problem.
     """
-    try:
-        _reject_non_finite(obj)
-    except RecursionError:
-        raise SchemaError("job nests too deeply to check") from None
     _schema_pass(obj)
 
     # The schema pass fixed every object's keys, so they map onto fields.

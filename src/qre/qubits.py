@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
+from .bounds import check
 from .errors import ParameterError, UnknownPresetError
 
 NS_PER_UNIT = {"ns": 1, "us": 1_000, "ms": 1_000_000}
@@ -39,6 +40,7 @@ def _duration_to_ns(obj: Any, where: str) -> int:
     value = obj["value"]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParameterError(f"{where}: duration value must be a number")
+    check("duration", value, f"{where} value")
     ns = value * NS_PER_UNIT[unit]
     if ns != int(ns):
         raise ParameterError(f"{where}: duration must be a whole number of nanoseconds")
@@ -74,6 +76,7 @@ class PhysicalQubitParams:
                 )
         if self.t_meas <= 0:
             raise ParameterError(f"qubit {self.name!r}: non-positive duration (t_meas)")
+        check("duration", self.t_meas, f"qubit {self.name!r}: t_meas in ns")
         if self.instruction_set is InstructionSet.GATE_BASED:
             if self.t_gate is None:
                 raise ParameterError(
@@ -81,6 +84,7 @@ class PhysicalQubitParams:
                 )
             if self.t_gate <= 0:
                 raise ParameterError(f"qubit {self.name!r}: non-positive duration (t_gate)")
+            check("duration", self.t_gate, f"qubit {self.name!r}: t_gate in ns")
         elif self.t_gate is not None:
             raise ParameterError(
                 f"qubit {self.name!r}: t_gate is only meaningful for gate-based hardware"

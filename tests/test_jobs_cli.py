@@ -255,6 +255,13 @@ class TestCli:
         assert main(["validate", "--job", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"qubit": "\xff"}')
+        assert main(["validate", "--job", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and err.count("\n") == 1
+
     def test_schema_violation_exit_code(self, tmp_path, capsys):
         path = _write(tmp_path, {"qubit": "ns-e4"})
         assert main(["estimate", "--job", path]) == 2
@@ -317,7 +324,7 @@ class TestHostileInput:
             (
                 '{"qubit": "ns-e4", "application": "dynamics", "frontier_factors": [1e308]}',
                 "frontier",
-                1,
+                2,
             ),
             # Counts errors are reported at /application/counts, as bad input.
             ('{"qubit": "ns-e4", "application": %s}' % (_COUNTS % "1e308"), "estimate", 2),
@@ -326,7 +333,13 @@ class TestHostileInput:
                 '"t_meas": {"value": 1e300, "unit": "ms"}, "p_clifford": 1e-4, "p_t": 1e-4}, '
                 '"application": "dynamics"}',
                 "estimate",
-                1,
+                2,
+            ),
+            # json.load refuses integers over 4 300 digits with a ValueError.
+            (
+                '{"qubit": "ns-e4", "application": "dynamics", "c_factor": 1%s}' % ("0" * 5000),
+                "validate",
+                2,
             ),
         ],
         ids=[
@@ -337,6 +350,7 @@ class TestHostileInput:
             "huge-factor",
             "huge-rotations",
             "huge-duration",
+            "long-integer",
         ],
     )
     def test_cli_exits_with_one_line(self, tmp_path, capsys, text, command, expected):
@@ -382,7 +396,7 @@ class TestHostileInput:
         assert err.startswith("error:") and err.endswith(f"(at {pointer})\n")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("factors, expected", [("1e308", 1), ("1,inf", 2), ("nan", 2)])
+    @pytest.mark.parametrize("factors, expected", [("1e308", 2), ("1,inf", 2), ("nan", 2)])
     def test_cli_factor_flag(self, tmp_path, capsys, factors, expected):
         path = _write(tmp_path, _job())
         assert main(["frontier", "--job", path, "--factors", factors]) == expected
@@ -421,11 +435,15 @@ class TestHostileInput:
         assert "too deeply" in err
 
     def test_parse_job_deep_nesting(self):
+        """The schema walk descends only into known keys, so depth cannot
+        exhaust the stack: the first bad node is named."""
         deep: list = []
         for _ in range(5000):
             deep = [deep]
-        with pytest.raises(SchemaError, match="too deeply"):
-            parse_job(_job(x=deep))
+        for key, pointer in (("x", "/"), ("frontier_factors", "/frontier_factors/0")):
+            with pytest.raises(SchemaError) as info:
+                parse_job(_job(**{key: deep}))
+            assert info.value.pointer == pointer
 
 
 def test_cli_import_needs_no_scipy_or_numpy():
