@@ -1,5 +1,5 @@
 """The numeric domain: an inclusive ``(minimum, maximum)`` range for each kind
-of input number, read by the job schema and by the ``validate()`` methods.
+of input number, read by the job schema and by each parameter type as it is built.
 Inside it nothing the estimator derives overflows a float. README.md gives
 each bound's physical reason; ``math.nextafter`` marks an open end.
 """
@@ -19,7 +19,7 @@ BOUNDS: dict[str, tuple[float, float]] = {
     "qubits": (1, _QUBITS),  # algorithm and logical qubits
     "sites": (4, _QUBITS),
     "trotter_steps": (1, _QUBITS),
-    "duration": (0, 10**15),  # ns in validate(); in the job's own unit in the schema
+    "duration": (0, 10**15),  # ns in the types; in the job's own unit in the schema
     "stretch": (1, 1e6),
     "probability": (_OVER_ZERO, _BELOW_ONE),
     "error_budget": (_FLOOR, _BELOW_ONE),
@@ -32,7 +32,7 @@ BOUNDS: dict[str, tuple[float, float]] = {
     "max_rounds": (1, 4),  # the factory search space grows steeply in these three
     "factory_distance": (3, 35),
     "max_final_copies": (1, 4),
-    # What in-bound counts yield, for LogicalRequirements.validate(): 2n +
+    # What in-bound counts yield, for LogicalRequirements: 2n +
     # ceil(sqrt(8n)) + 1 logical qubits, and up to 2e5 T states per rotation.
     "logical_qubits": (1, 3 * _QUBITS),
     "derived_count": (0, 1e30),

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Any
+from typing import Any, NoReturn
 
 from ._version import __version__
 from .bounds import BOUNDS
@@ -22,8 +22,15 @@ from .qubits import qubit_preset, qubit_preset_names
 from .report import render, run
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one stderr line, as for any other input."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qre",
         description="Physical resource estimation for fault-tolerant quantum programs.",
     )

@@ -23,6 +23,7 @@ from .errors import (
     AboveThresholdError,
     DistanceCapError,
     ParameterError,
+    UnknownPresetError,
 )
 from .qubits import InstructionSet, PhysicalQubitParams
 
@@ -54,7 +55,7 @@ class QecCodeModel:
     step_gate_factor: int
     step_meas_factor: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.name:
             raise ParameterError("code model needs a name")
         for field, bound in (
@@ -84,13 +85,8 @@ class QecCodeModel:
     def step_time(self, qubit: PhysicalQubitParams, distance: int) -> int:
         """Logical step duration in nanoseconds."""
         self._check_compatible(qubit)
-        gate_part = 0
-        if self.step_gate_factor:
-            # _check_compatible guarantees a gate-based qubit here, and
-            # qubit.validate guarantees t_gate is set for those.
-            if qubit.t_gate is None:
-                raise ParameterError(f"qubit {qubit.name!r}: gate-based instruction set requires t_gate")
-            gate_part = self.step_gate_factor * qubit.t_gate
+        # A gate factor implies gate-based hardware, which always has t_gate.
+        gate_part = self.step_gate_factor * qubit.t_gate if self.step_gate_factor else 0
         return (gate_part + self.step_meas_factor * qubit.t_meas) * distance
 
     def logical_error(self, qubit: PhysicalQubitParams, distance: int) -> float:
@@ -142,7 +138,7 @@ class QecCodeModel:
             raise ParameterError(f"code instruction_set must be one of: {valid}") from None
         tile = obj.get("qubits_per_tile", {})
         step = obj.get("step_time", {})
-        code = cls(
+        return cls(
             name=obj.get("name", "custom"),
             instruction_set=isa,
             error_prefactor=obj.get("error_prefactor", 0.0),
@@ -153,8 +149,6 @@ class QecCodeModel:
             step_gate_factor=step.get("gate_factor", 0),
             step_meas_factor=step.get("meas_factor", 0),
         )
-        code.validate()
-        return code
 
 
 SURFACE_GATE = QecCodeModel(
@@ -205,8 +199,6 @@ def code_preset(name: str) -> QecCodeModel:
     for code in BUILTIN_CODES:
         if code.name == name:
             return code
-    from .errors import UnknownPresetError
-
     raise UnknownPresetError("code", name, code_preset_names())
 
 

@@ -29,7 +29,7 @@ class SynthesisModel:
     scale: float = 0.53
     offset: float = 5.3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check("synthesis", self.scale, "synthesis scale")
         check("synthesis", self.offset, "synthesis offset")
 
@@ -42,7 +42,7 @@ class BudgetSplit:
     distillation: float = 1 / 3
     synthesis: float = 1 / 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         parts = (self.logical, self.distillation, self.synthesis)
         for part in parts:
             check("budget_share", part, "budget split fraction")
@@ -68,7 +68,7 @@ class AlgorithmCounts:
     rotation_layers: float
     error_budget: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check("qubits", self.algorithm_qubits, "algorithm qubits")
         for label, value in (
             ("measurements", self.measurements),
@@ -97,7 +97,7 @@ class AlgorithmCounts:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AlgorithmCounts":
-        counts = cls(
+        return cls(
             algorithm_qubits=obj.get("algorithm_qubits", 0),
             measurements=obj.get("measurements", 0),
             rotations=obj.get("rotations", 0),
@@ -106,8 +106,6 @@ class AlgorithmCounts:
             rotation_layers=obj.get("rotation_layers", 0),
             error_budget=obj.get("error_budget", 0.0),
         )
-        counts.validate()
-        return counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +131,7 @@ class LogicalRequirements:
             return math.inf
         return self.distillation_budget / self.t_states
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check("logical_qubits", self.logical_qubits, "logical qubits")
         check("derived_time_steps", self.min_time_steps, "min_time_steps")
         check("derived_count", self.t_states, "t_states")
@@ -150,7 +148,6 @@ class LogicalRequirements:
 
     def with_budget_split(self, split: BudgetSplit) -> "LogicalRequirements":
         """Re-divide the stored total budget; derived targets follow."""
-        split.validate()
         return replace(
             self,
             logical_budget=split.logical * self.error_budget,
@@ -176,7 +173,6 @@ def rotation_t_count(
         raise ParameterError("synthesis budget must be positive")
     check("budget_part", synthesis_budget, "synthesis budget")
     model = SynthesisModel() if model is None else model
-    model.validate()
     return math.ceil(model.scale * math.log2(rotations / synthesis_budget) + model.offset)
 
 
@@ -198,9 +194,7 @@ def logical_counts(
     T-state total picks up the synthesized rotations, four states per
     Toffoli, and the explicit T gates.
     """
-    counts.validate()
     split = BudgetSplit() if split is None else split
-    split.validate()
     eps = counts.error_budget
     logical_budget = split.logical * eps
     distillation_budget = split.distillation * eps
@@ -214,7 +208,7 @@ def logical_counts(
         + 3 * counts.toffoli_gates
     )
     t_states = per_rotation * counts.rotations + 4 * counts.toffoli_gates + counts.t_gates
-    built = LogicalRequirements(
+    return LogicalRequirements(
         logical_qubits=_compiled_qubits(counts.algorithm_qubits),
         min_time_steps=min_steps,
         t_states=t_states,
@@ -223,8 +217,6 @@ def logical_counts(
         distillation_budget=distillation_budget,
         synthesis_budget=synthesis_budget,
     )
-    built.validate()
-    return built
 
 
 def ising_counts(
@@ -246,7 +238,7 @@ def ising_counts(
     if sites < 4 or math.isqrt(sites) ** 2 != sites:
         raise ParameterError("lattice sites must be a perfect square of at least 4")
     check("trotter_steps", trotter_steps, "Trotter steps")
-    counts = AlgorithmCounts(
+    return AlgorithmCounts(
         algorithm_qubits=sites,
         measurements=sites if measurements is None else measurements,
         rotations=(15 * trotter_steps + 1) * sites,
@@ -255,8 +247,6 @@ def ising_counts(
         rotation_layers=25 * trotter_steps + 1,
         error_budget=error_budget,
     )
-    counts.validate()
-    return counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,11 +267,9 @@ class ApplicationPreset:
         if self.counts is not None:
             return logical_counts(self.counts, split, synthesis)
         assert self.requirements is not None
-        reqs = self.requirements
-        if split is not None:
-            reqs = reqs.with_budget_split(split)
-        reqs.validate()
-        return reqs
+        if split is None:
+            return self.requirements
+        return self.requirements.with_budget_split(split)
 
 
 def _thirds(eps: float) -> dict[str, float]:

@@ -32,6 +32,7 @@ from typing import NamedTuple, Sequence
 from .bounds import BOUNDS
 from .codes import LogicalPatch, QecCodeModel
 from .codes import patch as make_patch
+from .display import format_duration
 from .errors import (
     FactoryOutputError,
     NoFactoryError,
@@ -247,8 +248,6 @@ class TFactory:
     acceptance_probabilities: tuple[float, ...]
 
     def to_json(self) -> dict:
-        from .display import format_duration
-
         return {
             "rounds": [r.to_json() for r in self.rounds],
             "qubit_count": self.qubit_count,
@@ -325,7 +324,7 @@ class SearchBounds:
 
     Logical distances run over odd values in ``[min_distance,
     max_distance]``; the final round tries up to ``max_final_copies``
-    parallel units. :meth:`validate` rejects bounds above ``SEARCH_CAPS``.
+    parallel units. Construction rejects bounds above ``SEARCH_CAPS``.
     """
 
     max_rounds: int = 3
@@ -333,7 +332,7 @@ class SearchBounds:
     max_distance: int = 31
     max_final_copies: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ParameterError("factory search needs at least one round")
         if self.min_distance < 3:
@@ -370,7 +369,7 @@ class _Sweep:
     distance tuples form a tree rooted at the smallest distance: a child
     raises one distance, at or before the position its parent raised, so
     every tuple has one parent. Raising a distance makes nothing cheaper:
-    tile qubits and step time grow with it (:meth:`QecCodeModel.validate`).
+    tile qubits and step time grow with it.
 
     The heap holds unprovisioned nodes keyed by a lower bound on the cost of
     every configuration in their subtree, and provisioned configurations
@@ -392,8 +391,6 @@ class _Sweep:
     def __init__(
         self, qubit: PhysicalQubitParams, code: QecCodeModel, bounds: SearchBounds
     ) -> None:
-        qubit.validate()
-        code.validate()
         self.qubit = qubit
         distances = [d for d in range(bounds.min_distance, bounds.max_distance + 1) if d % 2]
 
@@ -573,13 +570,11 @@ def search_factory(
     that no candidate meets runs it to its end. Up to 32 sweeps are cached
     (least recently used first out); under the default bounds the preset
     qubits' staircases hold 20 to 183 factories. One lock makes concurrent
-    queries share a sweep. Raises :class:`ParameterError` for a qubit or
-    code that fails ``validate()``: the sweep's cost bounds rely on it.
+    queries share a sweep.
     """
     if not target_error > 0:
         raise ParameterError("target error must be positive")
     bounds = SearchBounds() if bounds is None else bounds
-    bounds.validate()
     with _STAIRCASE_LOCK:
         sweep = _sweep(qubit, code, bounds)
         sweep.settle(target_error)

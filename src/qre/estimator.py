@@ -128,9 +128,8 @@ def estimate(
     no slower than its runtime: an interlock still unsettled after
     ``_MAX_PASSES`` passes raises :class:`EstimatorError`.
     """
-    qubit.validate()
-    requirements.validate()
     check("stretch", c_factor, "schedule stretch factor")
+    c_factor = float(c_factor)
     steps = max(1, math.ceil(c_factor * requirements.min_time_steps))
     target_t_error = requirements.max_t_state_error
     factory: TFactory | None = None
@@ -196,7 +195,7 @@ def frontier(
     parallel or not; ``parallel`` only changes wall-clock time. Threads do
     not speed up this CPU-bound work, so it is off by default.
     """
-    factors = tuple(float(f) for f in c_factors)
+    factors = tuple(c_factors)
 
     def run_one(f: float) -> PhysicalEstimate:
         return estimate(
@@ -231,9 +230,9 @@ def perfect_qubit_estimate(
     requirements: LogicalRequirements, step_time: int
 ) -> PerfectEstimate:
     """Lower bound with noiseless qubits running at a fixed step time."""
-    requirements.validate()
     if step_time <= 0:
         raise ParameterError("non-positive duration (step_time)")
+    check("duration", step_time, "step_time in ns")
     runtime = requirements.min_time_steps * step_time
     if runtime == int(runtime):
         runtime = int(runtime)

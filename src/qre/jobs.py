@@ -212,12 +212,10 @@ class JobSpec:
 
     qubit: PhysicalQubitParams
     requirements: LogicalRequirements
-    counts: AlgorithmCounts | None
     application_name: str | None
     notes: tuple[str, ...]
     c_factor: float
     frontier_factors: tuple[float, ...] | None
-    budget_split: BudgetSplit | None
     synthesis: SynthesisModel
     distance_cap: int | None
     factory_bounds: SearchBounds | None
@@ -308,27 +306,25 @@ def _resolve_application(
     spec: Any,
     split: BudgetSplit | None,
     synthesis: SynthesisModel,
-) -> tuple[LogicalRequirements, AlgorithmCounts | None, str | None, tuple[str, ...]]:
+) -> tuple[LogicalRequirements, str | None, tuple[str, ...]]:
     if isinstance(spec, str):
         try:
             preset = application_preset(spec)
         except UnknownPresetError as exc:
             raise SchemaError(str(exc), "/application") from None
         reqs = preset.resolve(split, synthesis)
-        return reqs, preset.counts, preset.name, preset.notes
+        return reqs, preset.name, preset.notes
     if "counts" in spec:
         try:
-            counts = AlgorithmCounts.from_json(spec["counts"])
-            reqs = logical_counts(counts, split, synthesis)
+            reqs = logical_counts(AlgorithmCounts.from_json(spec["counts"]), split, synthesis)
         except ParameterError as exc:
             raise SchemaError(str(exc), "/application/counts") from None
-        return reqs, counts, None, ()
+        return reqs, None, ()
     if "requirements" in spec:
         raw = spec["requirements"]
         eps = raw["error_budget"]
-        use = split if split is not None else BudgetSplit()
         try:
-            use.validate()
+            use = split if split is not None else BudgetSplit()
             reqs = LogicalRequirements(
                 logical_qubits=raw["logical_qubits"],
                 min_time_steps=raw["min_time_steps"],
@@ -338,10 +334,9 @@ def _resolve_application(
                 distillation_budget=use.distillation * eps,
                 synthesis_budget=use.synthesis * eps,
             )
-            reqs.validate()
         except ParameterError as exc:
             raise SchemaError(str(exc), "/application/requirements") from None
-        return reqs, None, None, ()
+        return reqs, None, ()
     raw = spec["ising"]
     sites = raw["N"]
     if math.isqrt(sites) ** 2 != sites:
@@ -358,7 +353,7 @@ def _resolve_application(
         reqs = logical_counts(counts, split, synthesis)
     except ParameterError as exc:
         raise SchemaError(str(exc), "/application/ising") from None
-    return reqs, counts, None, ()
+    return reqs, None, ()
 
 
 def _resolve_distance_cap(overrides: dict) -> int | None:
@@ -389,23 +384,21 @@ def parse_job(obj: Any) -> JobSpec:
 
     split: BudgetSplit | None = None
     if "budget_split" in obj:
-        split = BudgetSplit(**obj["budget_split"])
         try:
-            split.validate()
+            split = BudgetSplit(**obj["budget_split"])
         except ParameterError as exc:
             raise SchemaError(str(exc), "/budget_split") from None
 
     qubit = _resolve_qubit(obj["qubit"])
-    requirements, counts, app_name, notes = _resolve_application(
+    requirements, app_name, notes = _resolve_application(
         obj["application"], split, synthesis
     )
     codes = _resolve_codes(obj.get("codes"))
 
     factory_bounds = None
     if "factory" in overrides:
-        factory_bounds = SearchBounds(**overrides["factory"])
         try:
-            factory_bounds.validate()
+            factory_bounds = SearchBounds(**overrides["factory"])
         except ParameterError as exc:
             raise SchemaError(str(exc), "/overrides/factory") from None
 
@@ -416,12 +409,10 @@ def parse_job(obj: Any) -> JobSpec:
     return JobSpec(
         qubit=qubit,
         requirements=requirements,
-        counts=counts,
         application_name=app_name,
         notes=notes,
         c_factor=float(obj.get("c_factor", 1.0)),
         frontier_factors=frontier_factors,
-        budget_split=split,
         synthesis=synthesis,
         distance_cap=_resolve_distance_cap(overrides),
         factory_bounds=factory_bounds,

@@ -2,9 +2,7 @@
 
 A :class:`PhysicalQubitParams` captures everything the estimator needs to
 know about the hardware: which primitive instruction set it offers, how long
-the primitives take, and how often they fail. Construction is permissive so
-callers can build values incrementally; :meth:`PhysicalQubitParams.validate`
-enforces the contract before any estimate is run.
+the primitives take, and how often they fail.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ class PhysicalQubitParams:
     p_t: float
     t_gate: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise :class:`ParameterError` unless the parameters are usable."""
         for label, p in (("p_clifford", self.p_clifford), ("p_t", self.p_t)):
             if not 0.0 < p < 1.0:
@@ -105,7 +103,7 @@ class PhysicalQubitParams:
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "PhysicalQubitParams":
-        """Build and validate a parameter set from its JSON form."""
+        """Build a parameter set from its JSON form."""
         if not isinstance(obj, dict):
             raise ParameterError("qubit description must be an object")
         try:
@@ -119,7 +117,7 @@ class PhysicalQubitParams:
             t_gate = _duration_to_ns(obj["t_gate"], f"qubit {name!r} t_gate")
         if "t_meas" not in obj:
             raise ParameterError(f"qubit {name!r}: t_meas is required")
-        qubit = cls(
+        return cls(
             name=name,
             instruction_set=isa,
             t_meas=_duration_to_ns(obj["t_meas"], f"qubit {name!r} t_meas"),
@@ -127,8 +125,6 @@ class PhysicalQubitParams:
             p_t=obj.get("p_t", 0.0),
             t_gate=t_gate,
         )
-        qubit.validate()
-        return qubit
 
 
 def _gate_based(name: str, t_gate: int, t_meas: int, p: float, p_t: float) -> PhysicalQubitParams:
@@ -172,10 +168,8 @@ def qubit_preset_names() -> tuple[str, ...]:
 
 
 def qubit_preset(name: str) -> PhysicalQubitParams:
-    """Return a validated built-in qubit parameter set by name."""
+    """Return a built-in qubit parameter set by name."""
     try:
-        found = _PRESETS[name]
+        return _PRESETS[name]
     except KeyError:
         raise UnknownPresetError("qubit", name, _PRESETS) from None
-    found.validate()
-    return found

@@ -1,4 +1,5 @@
-"""The numeric domain: one table of bounds, read by the schema and validate().
+"""The numeric domain: one table of bounds, read by the schema and by each
+parameter type when it is built.
 
 Every number a job or a library caller supplies is checked against
 ``qre.bounds.BOUNDS``. Inside the table nothing the estimator derives
@@ -12,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,10 @@ from qre import (
     SearchBounds,
     SynthesisModel,
     estimate,
+    frontier,
     logical_counts,
     parse_job,
+    perfect_qubit_estimate,
     qubit_preset,
     run,
 )
@@ -238,7 +241,7 @@ def test_main_at_every_edge_of_every_number(job):
             _assert_one_line(bent)
 
 
-# --- validate() and estimate() for library callers --------------------------
+# --- construction and estimate() for library callers ------------------------
 
 _COUNTS = AlgorithmCounts(100, 1e6, 1e4, 1e4, 1e5, 1e3, 1e-3)
 _REQUIREMENTS = LogicalRequirements(100, 1e6, 1e6, 1e-3, 1e-4, 1e-4, 1e-4)
@@ -285,20 +288,34 @@ _FIELDS = [
     "obj, field, bound", _FIELDS, ids=[f"{type(o).__name__}.{f}" for o, f, _ in _FIELDS]
 )
 def test_validate_rejects_past_its_bound(obj, field, bound):
+    """Building a value past its bound raises, directly and through replace()."""
     lo, hi = BOUNDS[bound]
     if isinstance(getattr(obj, field), int):
         past = [hi + 1, lo - 1]
     else:
         past = [math.nextafter(hi, math.inf), math.nextafter(lo, -math.inf)]
+    kwargs = {f.name: getattr(obj, f.name) for f in fields(obj)}
     for value in [*past, 10**400]:
         with pytest.raises(ParameterError):
-            replace(obj, **{field: value}).validate()
+            type(obj)(**{**kwargs, field: value})
+        with pytest.raises(ParameterError):
+            replace(obj, **{field: value})
 
 
 @pytest.mark.parametrize("c_factor", [math.nextafter(1e6, math.inf), 10**400, math.nan, 0.5])
 def test_estimate_rejects_stretch_past_its_bound(c_factor):
     with pytest.raises(ParameterError):
         estimate(qubit_preset("ns-e4"), _REQUIREMENTS, c_factor)
+    with pytest.raises(ParameterError):
+        frontier(qubit_preset("ns-e4"), _REQUIREMENTS, (c_factor,))
+
+
+def test_perfect_qubit_estimate_rejects_step_time_past_its_bound():
+    top = BOUNDS["duration"][1]
+    assert perfect_qubit_estimate(_REQUIREMENTS, top).runtime == _REQUIREMENTS.min_time_steps * top
+    for step_time in (top + 1, 1e300, 10**400):
+        with pytest.raises(ParameterError, match="step_time"):
+            perfect_qubit_estimate(_REQUIREMENTS, step_time)
 
 
 def test_in_bound_counts_give_in_bound_requirements():

@@ -161,13 +161,12 @@ class TestCustomCodeValidation:
 
     def test_zero_step_time_rejected(self):
         with pytest.raises(ParameterError, match="step time"):
-            replace(SURFACE_GATE, step_gate_factor=0, step_meas_factor=0).validate()
+            replace(SURFACE_GATE, step_gate_factor=0, step_meas_factor=0)
 
     def test_shrinking_tile_rejected(self):
         with pytest.raises(ParameterError, match="grow"):
-            replace(SURFACE_GATE, tile_quadratic=0, tile_linear=-1, tile_constant=100).validate()
+            replace(SURFACE_GATE, tile_quadratic=0, tile_linear=-1, tile_constant=100)
 
     def test_gate_factor_needs_gate_based_hardware(self):
-        bad = replace(HASTINGS_HAAH, step_gate_factor=1)
         with pytest.raises(ParameterError, match="gate time factor"):
-            bad.validate()
+            replace(HASTINGS_HAAH, step_gate_factor=1)

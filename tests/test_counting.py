@@ -82,15 +82,15 @@ class TestLogicalCounts:
 
     def test_split_must_fit_in_budget(self):
         with pytest.raises(ParameterError, match="sum"):
-            BudgetSplit(0.5, 0.4, 0.2).validate()
+            BudgetSplit(0.5, 0.4, 0.2)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ParameterError, match="negative count"):
-            _counts(t_gates=-1).validate()
+            _counts(t_gates=-1)
 
     def test_rotations_need_layers(self):
         with pytest.raises(ParameterError, match="layers"):
-            _counts(rotations=5).validate()
+            _counts(rotations=5)
 
 
 class TestIsingCounts:

@@ -248,17 +248,17 @@ class TestSearch:
 
     def test_bounds_validation(self):
         with pytest.raises(ParameterError):
-            SearchBounds(max_rounds=0).validate()
+            SearchBounds(max_rounds=0)
         with pytest.raises(ParameterError):
-            SearchBounds(min_distance=9, max_distance=5).validate()
+            SearchBounds(min_distance=9, max_distance=5)
 
     @pytest.mark.parametrize(
         "field, cap", [("max_rounds", 4), ("max_distance", 35), ("max_final_copies", 4)]
     )
     def test_bounds_are_capped(self, field, cap):
-        SearchBounds(**{field: cap}).validate()
+        SearchBounds(**{field: cap})
         with pytest.raises(ParameterError, match="capped"):
-            SearchBounds(**{field: cap + 1}).validate()
+            SearchBounds(**{field: cap + 1})
 
     def test_narrow_bounds_change_the_answer(self):
         q = qubit_preset("ns-e4")

@@ -404,6 +404,18 @@ class TestHostileInput:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [["frontier", "--job", "j.json", "--factors", "-inf"], ["estimate"]],
+        ids=["option-like-factor", "missing-job"],
+    )
+    def test_cli_argv_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "obj, pointer",
         [
             (_job(c_factor=float("nan")), "/c_factor"),

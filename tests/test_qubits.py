@@ -59,34 +59,33 @@ def _gate_qubit(**overrides):
 
 def test_validate_rejects_probability_out_of_range():
     with pytest.raises(ParameterError, match="probability out of range"):
-        _gate_qubit(p_clifford=0.0).validate()
+        _gate_qubit(p_clifford=0.0)
     with pytest.raises(ParameterError, match="probability out of range"):
-        _gate_qubit(p_t=1.0).validate()
+        _gate_qubit(p_t=1.0)
 
 
 def test_validate_rejects_non_positive_durations():
     with pytest.raises(ParameterError, match="non-positive duration"):
-        _gate_qubit(t_meas=0).validate()
+        _gate_qubit(t_meas=0)
     with pytest.raises(ParameterError, match="non-positive duration"):
-        _gate_qubit(t_gate=-5).validate()
+        _gate_qubit(t_gate=-5)
 
 
 def test_gate_based_requires_gate_time():
     with pytest.raises(ParameterError, match="t_gate"):
-        _gate_qubit(t_gate=None).validate()
+        _gate_qubit(t_gate=None)
 
 
 def test_majorana_rejects_gate_time():
-    q = PhysicalQubitParams(
-        name="m",
-        instruction_set=InstructionSet.MAJORANA,
-        t_meas=100,
-        p_clifford=1e-4,
-        p_t=0.05,
-        t_gate=50,
-    )
     with pytest.raises(ParameterError, match="gate-based"):
-        q.validate()
+        PhysicalQubitParams(
+            name="m",
+            instruction_set=InstructionSet.MAJORANA,
+            t_meas=100,
+            p_clifford=1e-4,
+            p_t=0.05,
+            t_gate=50,
+        )
 
 
 class TestJsonRoundTrip:

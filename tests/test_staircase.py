@@ -244,20 +244,22 @@ def test_search_matches_streamed_staircase_at_caps():
 
 @st.composite
 def _custom_search(draw):
-    """A qubit and a code that pass ``validate()``, with small bounds."""
+    """A valid qubit and code, with small bounds. Every value is drawn
+    before anything is built, so an invalid pair only rejects the example."""
     majorana = draw(st.booleans())
+    instruction_set = InstructionSet.MAJORANA if majorana else InstructionSet.GATE_BASED
     p_clifford = 10 ** draw(st.floats(-6.0, -3.0))
-    qubit = PhysicalQubitParams(
+    qubit_fields = dict(
         name="custom",
-        instruction_set=InstructionSet.MAJORANA if majorana else InstructionSet.GATE_BASED,
+        instruction_set=instruction_set,
         t_meas=draw(st.integers(1, 1000)),
         p_clifford=p_clifford,
         p_t=10 ** draw(st.floats(-4.5, -1.3)),
         t_gate=None if majorana else draw(st.integers(1, 1000)),
     )
-    code = QecCodeModel(
+    code_fields = dict(
         name="custom",
-        instruction_set=qubit.instruction_set,
+        instruction_set=instruction_set,
         error_prefactor=draw(st.floats(0.01, 0.3)),
         threshold=min(0.5, p_clifford * 10 ** draw(st.floats(0.7, 2.5))),
         tile_quadratic=draw(st.integers(0, 4)),
@@ -274,11 +276,9 @@ def _custom_search(draw):
         max_final_copies=draw(st.integers(1, 3)),
     )
     try:
-        qubit.validate()
-        code.validate()
+        return PhysicalQubitParams(**qubit_fields), QecCodeModel(**code_fields), bounds
     except ParameterError:
         assume(False)
-    return qubit, code, bounds
 
 
 @given(search=_custom_search())
