@@ -2,11 +2,13 @@
 of input number, read by the job schema and by each parameter type as it is built.
 Inside it nothing the estimator derives overflows a float. README.md gives
 each bound's physical reason; ``math.nextafter`` marks an open end.
+:func:`checked` makes a parameter type run its checks on every instance built.
 """
 
 from __future__ import annotations
 
 import math
+from functools import wraps
 
 from .errors import ParameterError
 
@@ -48,3 +50,24 @@ def check(name: str, value: float, what: str) -> None:
         raise ParameterError(f"{what} must be at least {lo:.16g}, got {value!r}")
     if not value <= hi:
         raise ParameterError(f"{what} must be at most {hi:.16g}, got {value!r}")
+
+
+def checked(cls):
+    """Make the NamedTuple class ``cls`` call ``_check()`` on every instance it
+    builds: through the constructor, through ``_make`` and so through ``_replace``.
+    """
+    new, make = cls.__new__, cls._make.__func__
+
+    @wraps(new)
+    def __new__(klass, *args, **kwargs):
+        self = new(klass, *args, **kwargs)
+        self._check()
+        return self
+
+    def _make(klass, iterable):
+        self = make(klass, iterable)
+        self._check()
+        return self
+
+    cls.__new__, cls._make = staticmethod(__new__), classmethod(_make)
+    return cls

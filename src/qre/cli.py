@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Any, NoReturn
 
 from ._version import __version__
@@ -122,7 +121,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "frontier":
         if args.factors is not None:
-            job = replace(job, frontier_factors=_parse_factors(args.factors))
+            job = job._replace(frontier_factors=_parse_factors(args.factors))
         elif job.frontier_factors is None:
             raise SchemaError(
                 "frontier needs --factors or frontier_factors in the job"

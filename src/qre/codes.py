@@ -16,9 +16,9 @@ patch-step, ``n(d) * tau(d)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bounds import check
+from .bounds import check, checked
 from .errors import (
     AboveThresholdError,
     DistanceCapError,
@@ -36,8 +36,8 @@ def ceil_to_odd(value: float, minimum: int = 3) -> int:
     return d if d % 2 == 1 else d + 1
 
 
-@dataclass(frozen=True, slots=True)
-class QecCodeModel:
+@checked
+class QecCodeModel(NamedTuple):
     """Scaling model for one code family on one instruction set.
 
     ``tile_quadratic/linear/constant`` give the physical qubits per tile as
@@ -55,7 +55,7 @@ class QecCodeModel:
     step_gate_factor: int
     step_meas_factor: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.name:
             raise ParameterError("code model needs a name")
         for field, bound in (
@@ -202,8 +202,7 @@ def code_preset(name: str) -> QecCodeModel:
     raise UnknownPresetError("code", name, code_preset_names())
 
 
-@dataclass(frozen=True, slots=True)
-class LogicalPatch:
+class LogicalPatch(NamedTuple):
     """One logical qubit: a code instantiated at a distance on a hardware model."""
 
     code: QecCodeModel

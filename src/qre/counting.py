@@ -16,33 +16,33 @@ fitted constants held by :class:`SynthesisModel`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .bounds import check
+from .bounds import check, checked
 from .errors import ParameterError, UnknownPresetError
 
 
-@dataclass(frozen=True, slots=True)
-class SynthesisModel:
+@checked
+class SynthesisModel(NamedTuple):
     """T cost per rotation: ``ceil(scale * log2(1/accuracy) + offset)``."""
 
     scale: float = 0.53
     offset: float = 5.3
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check("synthesis", self.scale, "synthesis scale")
         check("synthesis", self.offset, "synthesis offset")
 
 
-@dataclass(frozen=True, slots=True)
-class BudgetSplit:
+@checked
+class BudgetSplit(NamedTuple):
     """Fractions of the error budget given to each failure mechanism."""
 
     logical: float = 1 / 3
     distillation: float = 1 / 3
     synthesis: float = 1 / 3
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         parts = (self.logical, self.distillation, self.synthesis)
         for part in parts:
             check("budget_share", part, "budget split fraction")
@@ -50,8 +50,8 @@ class BudgetSplit:
             raise ParameterError("budget split fractions must sum to at most 1")
 
 
-@dataclass(frozen=True, slots=True)
-class AlgorithmCounts:
+@checked
+class AlgorithmCounts(NamedTuple):
     """Operation counts of a compiled logical algorithm.
 
     ``rotation_layers`` counts the non-Clifford layers containing at least
@@ -68,7 +68,7 @@ class AlgorithmCounts:
     rotation_layers: float
     error_budget: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check("qubits", self.algorithm_qubits, "algorithm qubits")
         for label, value in (
             ("measurements", self.measurements),
@@ -108,8 +108,8 @@ class AlgorithmCounts:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class LogicalRequirements:
+@checked
+class LogicalRequirements(NamedTuple):
     """What the physical layer must deliver.
 
     ``min_time_steps`` is the logical-depth floor; running slower (a larger
@@ -131,7 +131,7 @@ class LogicalRequirements:
             return math.inf
         return self.distillation_budget / self.t_states
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check("logical_qubits", self.logical_qubits, "logical qubits")
         check("derived_time_steps", self.min_time_steps, "min_time_steps")
         check("derived_count", self.t_states, "t_states")
@@ -148,8 +148,7 @@ class LogicalRequirements:
 
     def with_budget_split(self, split: BudgetSplit) -> "LogicalRequirements":
         """Re-divide the stored total budget; derived targets follow."""
-        return replace(
-            self,
+        return self._replace(
             logical_budget=split.logical * self.error_budget,
             distillation_budget=split.distillation * self.error_budget,
             synthesis_budget=split.synthesis * self.error_budget,
@@ -249,8 +248,7 @@ def ising_counts(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ApplicationPreset:
+class ApplicationPreset(NamedTuple):
     """A named workload: either raw counts or stored requirements."""
 
     name: str

@@ -22,14 +22,13 @@ from __future__ import annotations
 import enum
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count, product
 from math import inf, isqrt
 from typing import NamedTuple, Sequence
 
-from .bounds import BOUNDS
+from .bounds import BOUNDS, checked
 from .codes import LogicalPatch, QecCodeModel
 from .codes import patch as make_patch
 from .display import format_duration
@@ -168,8 +167,7 @@ def reliable_outputs(copies: int, acceptance: float) -> int:
     return lo
 
 
-@dataclass(frozen=True, slots=True)
-class DistillationUnitSpec:
+class DistillationUnitSpec(NamedTuple):
     """One unit layout at one level. ``patch`` is None for physical level."""
 
     kind: UnitKind
@@ -221,8 +219,7 @@ class DistillationUnitSpec:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class TFactoryRound:
+class TFactoryRound(NamedTuple):
     unit: DistillationUnitSpec
     copies: int
 
@@ -230,8 +227,7 @@ class TFactoryRound:
         return {**self.unit.to_json(), "copies": self.copies}
 
 
-@dataclass(frozen=True, slots=True)
-class TFactory:
+class TFactory(NamedTuple):
     """A fully evaluated distillation pipeline.
 
     ``qubit_count`` is the widest round, ``duration`` the sum over rounds in
@@ -318,8 +314,8 @@ def evaluate_factory(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SearchBounds:
+@checked
+class SearchBounds(NamedTuple):
     """Limits on the factory search space.
 
     Logical distances run over odd values in ``[min_distance,
@@ -332,7 +328,7 @@ class SearchBounds:
     max_distance: int = 31
     max_final_copies: int = 2
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_rounds < 1:
             raise ParameterError("factory search needs at least one round")
         if self.min_distance < 3:

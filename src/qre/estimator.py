@@ -12,7 +12,6 @@ what :func:`frontier` sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bounds import check
@@ -31,8 +30,7 @@ _MAX_PASSES = 5
 F_ACCOUNTING = "per-final-round-99pct"
 
 
-@dataclass(frozen=True, slots=True)
-class PhysicalEstimate:
+class PhysicalEstimate(NamedTuple):
     """One point of the space-time tradeoff for one workload on one qubit."""
 
     qubit: PhysicalQubitParams

@@ -18,8 +18,7 @@ import copy
 import math
 import os
 import reprlib
-from dataclasses import dataclass
-from typing import Any, NoReturn
+from typing import Any, NamedTuple, NoReturn
 
 from .bounds import BOUNDS, check
 from .codes import BUILTIN_CODES, QecCodeModel
@@ -206,8 +205,7 @@ _SCHEMA = {
 _DEFAULT_ISING_BUDGET = 1e-3
 
 
-@dataclass(frozen=True, slots=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     """A fully resolved job, ready for :func:`qre.report.run`."""
 
     qubit: PhysicalQubitParams

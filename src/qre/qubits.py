@@ -8,10 +8,9 @@ the primitives take, and how often they fail.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
-from .bounds import check
+from .bounds import check, checked
 from .errors import ParameterError, UnknownPresetError
 
 NS_PER_UNIT = {"ns": 1, "us": 1_000, "ms": 1_000_000}
@@ -45,8 +44,8 @@ def _duration_to_ns(obj: Any, where: str) -> int:
     return int(ns)
 
 
-@dataclass(frozen=True, slots=True)
-class PhysicalQubitParams:
+@checked
+class PhysicalQubitParams(NamedTuple):
     """Hardware-level qubit description.
 
     Durations are integer nanoseconds. Error rates are probabilities per
@@ -65,7 +64,7 @@ class PhysicalQubitParams:
     p_t: float
     t_gate: int | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         """Raise :class:`ParameterError` unless the parameters are usable."""
         for label, p in (("p_clifford", self.p_clifford), ("p_t", self.p_t)):
             if not 0.0 < p < 1.0:

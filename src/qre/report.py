@@ -9,11 +9,9 @@ physical qubits, run time.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ._version import __version__
 from .display import format_duration, format_percent, format_qubit_count
@@ -36,8 +34,7 @@ _CSV_FIELDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Report:
+class Report(NamedTuple):
     version: str
     job: Any
     estimates: tuple[PhysicalEstimate, ...]
@@ -115,6 +112,8 @@ def format_c_factor(value: float) -> str:
 
 
 def _render_csv(report: Report) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
@@ -132,4 +131,5 @@ def _render_csv(report: Report) -> str:
                 repr(e.factory_fraction),
             ]
         )
-    return buffer.getvalue()
+    # Like json and md, no final newline: the caller's print adds one.
+    return buffer.getvalue().removesuffix("\n")

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -288,18 +287,34 @@ _FIELDS = [
     "obj, field, bound", _FIELDS, ids=[f"{type(o).__name__}.{f}" for o, f, _ in _FIELDS]
 )
 def test_validate_rejects_past_its_bound(obj, field, bound):
-    """Building a value past its bound raises, directly and through replace()."""
+    """Building a value past its bound raises: directly, through _replace() and
+    through _make()."""
     lo, hi = BOUNDS[bound]
     if isinstance(getattr(obj, field), int):
         past = [hi + 1, lo - 1]
     else:
         past = [math.nextafter(hi, math.inf), math.nextafter(lo, -math.inf)]
-    kwargs = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    kwargs = obj._asdict()
     for value in [*past, 10**400]:
         with pytest.raises(ParameterError):
             type(obj)(**{**kwargs, field: value})
         with pytest.raises(ParameterError):
-            replace(obj, **{field: value})
+            obj._replace(**{field: value})
+        with pytest.raises(ParameterError):
+            type(obj)._make({**kwargs, field: value}.values())
+
+
+def test_records_are_frozen_and_hash_by_value():
+    """Records are the factory search's cache keys: no field can be assigned,
+    and an equal copy hashes equal."""
+    est = estimate(qubit_preset("ns-e4"), _REQUIREMENTS)
+    params = {type(obj): obj for obj, _, _ in _FIELDS}.values()
+    for obj in [*params, est, est.factory, est.factory.rounds[-1], est.factory.rounds[-1].unit]:
+        field = obj._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        twin = copy.deepcopy(obj)
+        assert twin is not obj and twin == obj and hash(twin) == hash(obj)
 
 
 @pytest.mark.parametrize("c_factor", [math.nextafter(1e6, math.inf), 10**400, math.nan, 0.5])

@@ -1,7 +1,5 @@
 """Code scaling models: tile sizes, step times, error suppression, selection."""
 
-from dataclasses import replace
-
 import pytest
 
 from qre import (
@@ -161,12 +159,12 @@ class TestCustomCodeValidation:
 
     def test_zero_step_time_rejected(self):
         with pytest.raises(ParameterError, match="step time"):
-            replace(SURFACE_GATE, step_gate_factor=0, step_meas_factor=0)
+            SURFACE_GATE._replace(step_gate_factor=0, step_meas_factor=0)
 
     def test_shrinking_tile_rejected(self):
         with pytest.raises(ParameterError, match="grow"):
-            replace(SURFACE_GATE, tile_quadratic=0, tile_linear=-1, tile_constant=100)
+            SURFACE_GATE._replace(tile_quadratic=0, tile_linear=-1, tile_constant=100)
 
     def test_gate_factor_needs_gate_based_hardware(self):
         with pytest.raises(ParameterError, match="gate time factor"):
-            replace(HASTINGS_HAAH, step_gate_factor=1)
+            HASTINGS_HAAH._replace(step_gate_factor=1)

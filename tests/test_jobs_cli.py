@@ -224,7 +224,9 @@ class TestCli:
         path = _write(tmp_path, {"qubit": "ns-e4", "application": "dynamics"})
         code = main(["frontier", "--job", path, "--factors", "1,2,4,8"])
         assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        lines = out.splitlines()
         assert len(lines) == 5
         assert lines[0].startswith("c_factor,code,distance")
 
@@ -460,7 +462,11 @@ class TestHostileInput:
 
 def test_cli_import_needs_no_scipy_or_numpy():
     # concurrent.futures (with logging) is only for frontier(parallel=True).
-    banned = ("scipy", "numpy", "jsonschema", "referencing", "rpds", "attr", "attrs", "concurrent")
+    # dataclasses (with inspect) and csv cost a cold start more than they give.
+    banned = (
+        "scipy", "numpy", "jsonschema", "referencing", "rpds", "attr", "attrs", "concurrent",
+        "dataclasses", "inspect", "csv",
+    )
     code = (
         "import sys, qre.cli; "
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {banned!r}))"

@@ -8,7 +8,6 @@ frontier determinism, and agreement with a straight-line re-implementation
 of the whole pipeline on small instances.
 """
 
-import dataclasses
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -62,10 +61,8 @@ def _requirements(logical_qubits, min_time_steps, t_states, budget):
 @settings(deadline=None, derandomize=True, max_examples=250)
 def test_distance_minimality(prefactor, threshold, ratio, exponent):
     """The selected distance meets the target and the next one down does not."""
-    code = dataclasses.replace(SURFACE_GATE, error_prefactor=prefactor, threshold=threshold)
-    qubit = dataclasses.replace(
-        qubit_preset("ns-e4"), name="synthetic", p_clifford=ratio * threshold
-    )
+    code = SURFACE_GATE._replace(error_prefactor=prefactor, threshold=threshold)
+    qubit = qubit_preset("ns-e4")._replace(name="synthetic", p_clifford=ratio * threshold)
     target = 10.0**exponent
     d = required_distance(code, qubit, target, distance_cap=9999)
     assert d >= 3 and d % 2 == 1

@@ -9,7 +9,6 @@ any order, report the same best error when no factory meets the target,
 and hold exactly the oracle's staircase once it has run to its end.
 """
 
-import dataclasses
 import math
 import random
 import sys
@@ -322,7 +321,7 @@ def test_caches_are_bounded():
 
 
 def test_parallel_frontier_builds_each_staircase_once():
-    qubit = dataclasses.replace(qubit_preset("ns-e4"), name="fresh-for-single-flight")
+    qubit = qubit_preset("ns-e4")._replace(name="fresh-for-single-flight")
     reqs = LogicalRequirements(
         logical_qubits=20,
         min_time_steps=500,
