@@ -13,8 +13,6 @@ model picks the smallest distance meeting a target, and
 patch-step, ``n(d) * tau(d)``.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -30,9 +28,9 @@ from .qubits import InstructionSet, PhysicalQubitParams
 DEFAULT_DISTANCE_CAP = 51
 
 
-def ceil_to_odd(value: float, minimum: int = 3) -> int:
-    """Round up to the nearest odd integer, with a floor."""
-    d = max(minimum, math.ceil(value))
+def ceil_to_odd(value: float) -> int:
+    """Round up to the nearest odd integer, at least 3."""
+    d = max(3, math.ceil(value))
     return d if d % 2 == 1 else d + 1
 
 

@@ -13,8 +13,6 @@ rotation grows logarithmically in the inverse synthesis accuracy with
 fitted constants held by :class:`SynthesisModel`.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -48,6 +46,15 @@ class BudgetSplit(NamedTuple):
             check("budget_share", part, "budget split fraction")
         if sum(parts) > 1.0 + 1e-9:
             raise ParameterError("budget split fractions must sum to at most 1")
+
+    def parts(self, eps: float) -> dict[str, float]:
+        """Each share of the total budget ``eps``, keyed by its
+        :class:`LogicalRequirements` field."""
+        return {
+            "logical_budget": self.logical * eps,
+            "distillation_budget": self.distillation * eps,
+            "synthesis_budget": self.synthesis * eps,
+        }
 
 
 @checked
@@ -148,11 +155,7 @@ class LogicalRequirements(NamedTuple):
 
     def with_budget_split(self, split: BudgetSplit) -> "LogicalRequirements":
         """Re-divide the stored total budget; derived targets follow."""
-        return self._replace(
-            logical_budget=split.logical * self.error_budget,
-            distillation_budget=split.distillation * self.error_budget,
-            synthesis_budget=split.synthesis * self.error_budget,
-        )
+        return self._replace(**split.parts(self.error_budget))
 
 
 def rotation_t_count(
@@ -194,11 +197,8 @@ def logical_counts(
     Toffoli, and the explicit T gates.
     """
     split = BudgetSplit() if split is None else split
-    eps = counts.error_budget
-    logical_budget = split.logical * eps
-    distillation_budget = split.distillation * eps
-    synthesis_budget = split.synthesis * eps
-    per_rotation = rotation_t_count(synthesis_budget, counts.rotations, synthesis)
+    parts = split.parts(counts.error_budget)
+    per_rotation = rotation_t_count(parts["synthesis_budget"], counts.rotations, synthesis)
     min_steps = (
         counts.measurements
         + counts.rotations
@@ -211,10 +211,8 @@ def logical_counts(
         logical_qubits=_compiled_qubits(counts.algorithm_qubits),
         min_time_steps=min_steps,
         t_states=t_states,
-        error_budget=eps,
-        logical_budget=logical_budget,
-        distillation_budget=distillation_budget,
-        synthesis_budget=synthesis_budget,
+        error_budget=counts.error_budget,
+        **parts,
     )
 
 
@@ -270,14 +268,6 @@ class ApplicationPreset(NamedTuple):
         return self.requirements.with_budget_split(split)
 
 
-def _thirds(eps: float) -> dict[str, float]:
-    return {
-        "logical_budget": eps / 3,
-        "distillation_budget": eps / 3,
-        "synthesis_budget": eps / 3,
-    }
-
-
 _PRESETS: dict[str, ApplicationPreset] = {
     "dynamics": ApplicationPreset(
         name="dynamics",
@@ -287,7 +277,7 @@ _PRESETS: dict[str, ApplicationPreset] = {
             min_time_steps=1.5e5,
             t_states=2.4e6,
             error_budget=1e-3,
-            **_thirds(1e-3),
+            **BudgetSplit().parts(1e-3),
         ),
         notes=(
             "dynamics: stores published end-to-end totals (1.5e5 steps, 2.4e6 T "

@@ -56,12 +56,12 @@ def format_duration(nanoseconds: float, digits: int = 4) -> str:
     return f"{format_sig(nanoseconds, digits)} ns"
 
 
-def format_qubit_count(count: int, digits: int = 2) -> str:
+def format_qubit_count(count: int) -> str:
     """Large qubit counts read best in millions; small ones stay exact."""
     if count >= 100_000:
-        return f"{format_sig(count / 1e6, digits)}M"
+        return f"{format_sig(count / 1e6)}M"
     return str(count)
 
 
-def format_percent(fraction: float, digits: int = 2) -> str:
-    return f"{format_sig(100 * fraction, digits)}%"
+def format_percent(fraction: float) -> str:
+    return f"{format_sig(100 * fraction)}%"

@@ -17,8 +17,6 @@ next-round unit with 99% confidence, and the advertised output count is
 what the final round produces at that same confidence.
 """
 
-from __future__ import annotations
-
 import enum
 import threading
 from bisect import bisect_left
@@ -31,7 +29,6 @@ from typing import NamedTuple, Sequence
 from .bounds import BOUNDS, checked
 from .codes import LogicalPatch, QecCodeModel
 from .codes import patch as make_patch
-from .display import format_duration
 from .errors import (
     FactoryOutputError,
     NoFactoryError,
@@ -211,20 +208,10 @@ class DistillationUnitSpec(NamedTuple):
         elif self.patch.qubit != qubit:
             raise ParameterError("unit patch was built for a different qubit model")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "level": self.level.value,
-            "distance": self.distance,
-        }
-
 
 class TFactoryRound(NamedTuple):
     unit: DistillationUnitSpec
     copies: int
-
-    def to_json(self) -> dict:
-        return {**self.unit.to_json(), "copies": self.copies}
 
 
 class TFactory(NamedTuple):
@@ -242,16 +229,6 @@ class TFactory(NamedTuple):
     output_error: float
     output_count: int
     acceptance_probabilities: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "rounds": [r.to_json() for r in self.rounds],
-            "qubit_count": self.qubit_count,
-            "duration": {"ns": self.duration, "display": format_duration(self.duration)},
-            "output_error": self.output_error,
-            "output_count": self.output_count,
-            "acceptance_probabilities": list(self.acceptance_probabilities),
-        }
 
 
 def evaluate_factory(

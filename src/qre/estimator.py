@@ -9,8 +9,6 @@ trades runtime for fewer factories and often a shorter distance, which is
 what :func:`frontier` sweeps.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -85,27 +83,6 @@ class PhysicalEstimate(NamedTuple):
         if self.factory is None:
             return 0.0
         return self.requirements.t_states * self.factory.output_error
-
-    def to_json(self) -> dict:
-        return {
-            "c_factor": self.c_factor,
-            "code": self.code.name,
-            "distance": self.distance,
-            "time_steps": self.time_steps,
-            "step_time": {"ns": self.step_time, "display": format_duration(self.step_time)},
-            "runtime": {"ns": self.runtime, "display": format_duration(self.runtime)},
-            "physical_qubits": self.physical_qubits,
-            "factory": None if self.factory is None else self.factory.to_json(),
-            "factory_count": self.factory_count,
-            "breakdown": {
-                "algorithm_qubits": self.algorithm_qubits,
-                "factory_qubits": self.factory_qubits,
-                "factory_fraction": self.factory_fraction,
-                "logical_error_used": self.logical_error_used,
-                "t_error_used": self.t_error_used,
-            },
-            "f_accounting": F_ACCOUNTING,
-        }
 
 
 def estimate(
@@ -182,21 +159,14 @@ def frontier(
     requirements: LogicalRequirements,
     c_factors: tuple[float, ...],
     *,
-    parallel: bool = False,
     codes: tuple[QecCodeModel, ...] | None = None,
     distance_cap: int | None = None,
     factory_bounds: SearchBounds | None = None,
 ) -> tuple[PhysicalEstimate, ...]:
-    """Sweep the space-time tradeoff over several stretch factors.
-
-    The result is sorted by step count and identical whether computed in
-    parallel or not; ``parallel`` only changes wall-clock time. Threads do
-    not speed up this CPU-bound work, so it is off by default.
-    """
-    factors = tuple(c_factors)
-
-    def run_one(f: float) -> PhysicalEstimate:
-        return estimate(
+    """Sweep the space-time tradeoff over several stretch factors, sorted by
+    step count."""
+    results = [
+        estimate(
             qubit,
             requirements,
             f,
@@ -204,16 +174,8 @@ def frontier(
             distance_cap=distance_cap,
             factory_bounds=factory_bounds,
         )
-
-    if not factors:
-        return ()
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(8, len(factors))) as pool:
-            results = list(pool.map(run_one, factors))
-    else:
-        results = [run_one(f) for f in factors]
+        for f in c_factors
+    ]
     return tuple(sorted(results, key=lambda e: (e.time_steps, e.c_factor)))
 
 

@@ -12,8 +12,6 @@ Both stages report :class:`~qre.errors.SchemaError` with a JSON pointer to
 the offending node.
 """
 
-from __future__ import annotations
-
 import copy
 import math
 import os
@@ -210,11 +208,9 @@ class JobSpec(NamedTuple):
 
     qubit: PhysicalQubitParams
     requirements: LogicalRequirements
-    application_name: str | None
     notes: tuple[str, ...]
     c_factor: float
     frontier_factors: tuple[float, ...] | None
-    synthesis: SynthesisModel
     distance_cap: int | None
     factory_bounds: SearchBounds | None
     codes: tuple[QecCodeModel, ...] | None
@@ -304,37 +300,27 @@ def _resolve_application(
     spec: Any,
     split: BudgetSplit | None,
     synthesis: SynthesisModel,
-) -> tuple[LogicalRequirements, str | None, tuple[str, ...]]:
+) -> tuple[LogicalRequirements, tuple[str, ...]]:
     if isinstance(spec, str):
         try:
             preset = application_preset(spec)
         except UnknownPresetError as exc:
             raise SchemaError(str(exc), "/application") from None
-        reqs = preset.resolve(split, synthesis)
-        return reqs, preset.name, preset.notes
+        return preset.resolve(split, synthesis), preset.notes
     if "counts" in spec:
         try:
             reqs = logical_counts(AlgorithmCounts.from_json(spec["counts"]), split, synthesis)
         except ParameterError as exc:
             raise SchemaError(str(exc), "/application/counts") from None
-        return reqs, None, ()
+        return reqs, ()
     if "requirements" in spec:
         raw = spec["requirements"]
-        eps = raw["error_budget"]
+        use = split if split is not None else BudgetSplit()
         try:
-            use = split if split is not None else BudgetSplit()
-            reqs = LogicalRequirements(
-                logical_qubits=raw["logical_qubits"],
-                min_time_steps=raw["min_time_steps"],
-                t_states=raw["t_states"],
-                error_budget=eps,
-                logical_budget=use.logical * eps,
-                distillation_budget=use.distillation * eps,
-                synthesis_budget=use.synthesis * eps,
-            )
+            reqs = LogicalRequirements(**raw, **use.parts(raw["error_budget"]))
         except ParameterError as exc:
             raise SchemaError(str(exc), "/application/requirements") from None
-        return reqs, None, ()
+        return reqs, ()
     raw = spec["ising"]
     sites = raw["N"]
     if math.isqrt(sites) ** 2 != sites:
@@ -351,7 +337,7 @@ def _resolve_application(
         reqs = logical_counts(counts, split, synthesis)
     except ParameterError as exc:
         raise SchemaError(str(exc), "/application/ising") from None
-    return reqs, None, ()
+    return reqs, ()
 
 
 def _resolve_distance_cap(overrides: dict) -> int | None:
@@ -388,7 +374,7 @@ def parse_job(obj: Any) -> JobSpec:
             raise SchemaError(str(exc), "/budget_split") from None
 
     qubit = _resolve_qubit(obj["qubit"])
-    requirements, app_name, notes = _resolve_application(
+    requirements, notes = _resolve_application(
         obj["application"], split, synthesis
     )
     codes = _resolve_codes(obj.get("codes"))
@@ -407,11 +393,9 @@ def parse_job(obj: Any) -> JobSpec:
     return JobSpec(
         qubit=qubit,
         requirements=requirements,
-        application_name=app_name,
         notes=notes,
         c_factor=float(obj.get("c_factor", 1.0)),
         frontier_factors=frontier_factors,
-        synthesis=synthesis,
         distance_cap=_resolve_distance_cap(overrides),
         factory_bounds=factory_bounds,
         codes=codes,

@@ -5,8 +5,6 @@ know about the hardware: which primitive instruction set it offers, how long
 the primitives take, and how often they fail.
 """
 
-from __future__ import annotations
-
 import enum
 from typing import Any, NamedTuple
 

@@ -7,8 +7,6 @@ the published comparison tables: distance, factories, factory share,
 physical qubits, run time.
 """
 
-from __future__ import annotations
-
 import io
 import json
 from typing import Any, NamedTuple
@@ -75,9 +73,52 @@ def _render_json(report: Report) -> str:
         "version": report.version,
         "job": report.job,
         "notes": list(report.notes),
-        "estimates": [e.to_json() for e in report.estimates],
+        "estimates": [_estimate_json(e) for e in report.estimates],
     }
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))
+
+
+def _estimate_json(e: PhysicalEstimate) -> dict:
+    """One estimate as a JSON object: durations are exact nanoseconds next
+    to a display string, and the factory is null when no T states are needed."""
+    f = e.factory
+    factory = None
+    if f is not None:
+        factory = {
+            "rounds": [
+                {
+                    "kind": r.unit.kind.value,
+                    "level": r.unit.level.value,
+                    "distance": r.unit.distance,
+                    "copies": r.copies,
+                }
+                for r in f.rounds
+            ],
+            "qubit_count": f.qubit_count,
+            "duration": {"ns": f.duration, "display": format_duration(f.duration)},
+            "output_error": f.output_error,
+            "output_count": f.output_count,
+            "acceptance_probabilities": list(f.acceptance_probabilities),
+        }
+    return {
+        "c_factor": e.c_factor,
+        "code": e.code.name,
+        "distance": e.distance,
+        "time_steps": e.time_steps,
+        "step_time": {"ns": e.step_time, "display": format_duration(e.step_time)},
+        "runtime": {"ns": e.runtime, "display": format_duration(e.runtime)},
+        "physical_qubits": e.physical_qubits,
+        "factory": factory,
+        "factory_count": e.factory_count,
+        "breakdown": {
+            "algorithm_qubits": e.algorithm_qubits,
+            "factory_qubits": e.factory_qubits,
+            "factory_fraction": e.factory_fraction,
+            "logical_error_used": e.logical_error_used,
+            "t_error_used": e.t_error_used,
+        },
+        "f_accounting": F_ACCOUNTING,
+    }
 
 
 def _render_md(report: Report) -> str:

@@ -15,6 +15,7 @@ from qre import (
     perfect_qubit_estimate,
     qubit_preset,
 )
+from threaded import threaded_frontier
 
 
 def _reqs(logical_qubits, min_time_steps, t_states, budget):
@@ -121,9 +122,7 @@ class TestFrontier:
     def test_parallel_equals_sequential(self, dynamics):
         qubit = qubit_preset("us-e4")
         factors = (8.0, 1.0, 3.0)
-        par = frontier(qubit, dynamics, factors, parallel=True)
-        seq = frontier(qubit, dynamics, factors, parallel=False)
-        assert par == seq
+        assert threaded_frontier(qubit, dynamics, factors) == frontier(qubit, dynamics, factors)
 
     def test_sorted_by_schedule_length(self, dynamics):
         rows = frontier(qubit_preset("ns-e3"), dynamics, (4.0, 1.0, 2.0))

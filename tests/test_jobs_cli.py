@@ -12,6 +12,10 @@ from qre import (
     DistanceCapError,
     ParameterError,
     SchemaError,
+    SynthesisModel,
+    application_preset,
+    ising_counts,
+    logical_counts,
     parse_job,
     run,
 )
@@ -29,7 +33,8 @@ class TestParse:
     def test_preset_job(self):
         job = parse_job(_job())
         assert job.qubit.name == "ns-e4"
-        assert job.application_name == "dynamics"
+        assert job.requirements == application_preset("dynamics").resolve()
+        assert job.notes == application_preset("dynamics").notes
         assert job.requirements.logical_qubits == 230
         assert job.c_factor == 1.0
         assert job.frontier_factors is None
@@ -40,7 +45,7 @@ class TestParse:
         )
         assert job.requirements.logical_qubits == 230
         assert job.requirements.t_states == 602_000
-        assert job.application_name is None
+        assert job.notes == ()
 
     def test_inline_qubit_and_counts(self):
         job = parse_job(
@@ -112,6 +117,7 @@ class TestParse:
     def test_overrides(self):
         job = parse_job(
             _job(
+                application={"ising": {"N": 100, "T": 20}},
                 overrides={
                     "max_code_distance": 9,
                     "synthesis": {"scale": 0.6, "offset": 5.0},
@@ -120,7 +126,10 @@ class TestParse:
             )
         )
         assert job.distance_cap == 9
-        assert job.synthesis.scale == 0.6
+        synthesis = SynthesisModel(scale=0.6, offset=5.0)
+        expected = logical_counts(ising_counts(100, 20, 1e-3), synthesis=synthesis)
+        assert job.requirements == expected
+        assert job.requirements.t_states != 602_000  # the default synthesis model's count
         assert job.factory_bounds.max_rounds == 2
 
 
@@ -229,6 +238,26 @@ class TestCli:
         lines = out.splitlines()
         assert len(lines) == 5
         assert lines[0].startswith("c_factor,code,distance")
+
+    def test_estimate_without_factory(self, tmp_path, capsys):
+        """No T states, no factory: null in json, a zero count and share in md and csv."""
+        requirements = {
+            "logical_qubits": 50, "min_time_steps": 1e5, "t_states": 0, "error_budget": 1e-2,
+        }
+        path = _write(tmp_path, _job(application={"requirements": requirements}))
+        out = {}
+        for fmt in ("json", "md", "csv"):
+            assert main(["estimate", "--job", path, "--format", fmt]) == 0
+            out[fmt] = capsys.readouterr().out
+        est = json.loads(out["json"])["estimates"][0]
+        assert est["factory"] is None
+        assert est["factory_count"] == 0
+        assert est["physical_qubits"] == est["breakdown"]["algorithm_qubits"] == 4900
+        assert est["breakdown"]["factory_qubits"] == 0
+        assert est["breakdown"]["factory_fraction"] == 0.0
+        assert est["breakdown"]["t_error_used"] == 0.0
+        assert "| 1 | surface-gate | 7 | 0 | 0% | 4900 | 280 ms |" in out["md"].splitlines()
+        assert out["csv"].splitlines()[1] == "1,surface-gate,7,100000,280000000,4900,0,0,0.0"
 
     def test_frontier_needs_factors(self, factoring_job, capsys):
         assert main(["frontier", "--job", factoring_job]) == 2
@@ -461,8 +490,8 @@ class TestHostileInput:
 
 
 def test_cli_import_needs_no_scipy_or_numpy():
-    # concurrent.futures (with logging) is only for frontier(parallel=True).
-    # dataclasses (with inspect) and csv cost a cold start more than they give.
+    # concurrent.futures (with logging), dataclasses (with inspect) and csv
+    # would each cost a cold start more than they give.
     banned = (
         "scipy", "numpy", "jsonschema", "referencing", "rpds", "attr", "attrs", "concurrent",
         "dataclasses", "inspect", "csv",
@@ -481,3 +510,33 @@ def test_cli_import_needs_no_scipy_or_numpy():
         check=True,
     )
     assert result.stdout == "[]\n"
+
+
+def test_traced_cli_records_every_layer(tmp_path):
+    """The benchmark's traced child process still wraps every layer it names,
+    and marks the first factory search as cold."""
+    trace = tmp_path / "trace.json"
+    job = _write(tmp_path, {"qubit": "ns-e4", "application": "dynamics"})
+    child = Path(__file__).parents[1] / "perfbench" / "cli_child.py"
+    src = str(Path(qre.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, str(child), str(trace), "estimate", "--job", job],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    spans = json.loads(trace.read_text())["spans"]
+    assert {span[0] for span in spans} == {
+        "jobs.parse_job",
+        "counting.resolve",
+        "report.run",
+        "report.render",
+        "estimator.estimate",
+        "codes.select_code",
+        "distillation.search_factory",
+    }
+    cold = [s[4] for s in spans if s[0] == "distillation.search_factory" and s[4]]
+    assert len(cold) == 1
+    assert cold[0]["cold"] is True and cold[0]["evaluate_calls"] >= 1

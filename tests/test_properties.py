@@ -36,6 +36,7 @@ from qre import (
     search_factory,
     select_code,
 )
+from threaded import threaded_frontier
 
 _PRESET_NAMES = ("us-e3", "us-e4", "ns-e3", "ns-e4", "maj-ns-e4", "maj-ns-e6")
 
@@ -229,12 +230,8 @@ _FRONTIER_BOUNDS = SearchBounds(max_rounds=2, max_distance=13)
 def test_frontier_parallel_matches_sequential(name, factors):
     qubit = qubit_preset(name)
     reqs = _requirements(20, 500, 1000, 1e-2)
-    par = frontier(
-        qubit, reqs, tuple(factors), parallel=True, factory_bounds=_FRONTIER_BOUNDS
-    )
-    seq = frontier(
-        qubit, reqs, tuple(factors), parallel=False, factory_bounds=_FRONTIER_BOUNDS
-    )
+    par = threaded_frontier(qubit, reqs, factors, factory_bounds=_FRONTIER_BOUNDS)
+    seq = frontier(qubit, reqs, tuple(factors), factory_bounds=_FRONTIER_BOUNDS)
     assert par == seq
     steps = [e.time_steps for e in par]
     assert steps == sorted(steps)

@@ -11,7 +11,6 @@ and hold exactly the oracle's staircase once it has run to its end.
 
 import math
 import random
-import sys
 from bisect import bisect_left
 from itertools import combinations_with_replacement, product
 
@@ -44,6 +43,7 @@ from qre import (
 )
 from qre import distillation
 from qre.distillation import SEARCH_CAPS
+from threaded import threaded_frontier
 
 _PAIRS = [
     (name, code.name)
@@ -333,14 +333,9 @@ def test_parallel_frontier_builds_each_staircase_once():
     )
     factors = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)  # six threads, all missing one key
     before = distillation._sweep.cache_info().misses
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        par = frontier(qubit, reqs, factors, parallel=True, codes=(SURFACE_GATE,))
-    finally:
-        sys.setswitchinterval(interval)
+    par = threaded_frontier(qubit, reqs, factors, codes=(SURFACE_GATE,))
     assert distillation._sweep.cache_info().misses - before == 1
-    assert par == frontier(qubit, reqs, factors, parallel=False, codes=(SURFACE_GATE,))
+    assert par == frontier(qubit, reqs, factors, codes=(SURFACE_GATE,))
 
 
 def test_interrupted_sweep_loses_nothing(monkeypatch):
