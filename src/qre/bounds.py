@@ -2,10 +2,8 @@
 of input number, read by the job schema and by each parameter type as it is built.
 Inside it nothing the estimator derives overflows a float. README.md gives
 each bound's physical reason; ``math.nextafter`` marks an open end.
-:func:`checked` makes a parameter type run its checks on every instance built.
+:func:`checked` makes a parameter type check every instance it builds.
 """
-
-from __future__ import annotations
 
 import math
 from functools import wraps
@@ -21,7 +19,7 @@ BOUNDS: dict[str, tuple[float, float]] = {
     "qubits": (1, _QUBITS),  # algorithm and logical qubits
     "sites": (4, _QUBITS),
     "trotter_steps": (1, _QUBITS),
-    "duration": (0, 10**15),  # ns in the types; in the job's own unit in the schema
+    "duration": (_OVER_ZERO, 10**15),  # ns in the types; in the job's own unit in the schema
     "stretch": (1, 1e6),
     "probability": (_OVER_ZERO, _BELOW_ONE),
     "error_budget": (_FLOOR, _BELOW_ONE),
@@ -42,32 +40,49 @@ BOUNDS: dict[str, tuple[float, float]] = {
     "budget_part": (_FLOOR * _FLOOR, _BELOW_ONE),
 }
 
+# The names a message gives a value below these kinds' minimum.
+_BELOW = {"count": "negative count", "duration": "non-positive duration"}
+
 
 def check(name: str, value: float, what: str) -> None:
     """Raise :class:`ParameterError` unless ``value`` lies in ``BOUNDS[name]``."""
     lo, hi = BOUNDS[name]
-    if not lo <= value:
-        raise ParameterError(f"{what} must be at least {lo:.16g}, got {value!r}")
+    if value < lo:
+        below = _BELOW.get(name, f"{name} out of range")
+        raise ParameterError(f"{what}: {below}, must be at least {lo:.16g}, got {value!r}")
     if not value <= hi:
-        raise ParameterError(f"{what} must be at most {hi:.16g}, got {value!r}")
+        raise ParameterError(f"{what}: {name} out of range, capped at {hi:.16g}, got {value!r}")
 
 
 def checked(cls):
-    """Make the NamedTuple class ``cls`` call ``_check()`` on every instance it
-    builds: through the constructor, through ``_make`` and so through ``_replace``.
+    """Make the NamedTuple class ``cls`` check every instance it builds: through
+    the constructor, through ``_make`` and so through ``_replace``.
+
+    Each field named in ``cls.field_bounds``, a ``{field: kind}`` map, is
+    checked against ``BOUNDS[kind]`` unless it is None. Then ``cls._check()``,
+    where defined, checks the rules that span fields.
     """
     new, make = cls.__new__, cls._make.__func__
+    fields = [
+        (cls._fields.index(field), kind, f"{cls.__name__}.{field}")
+        for field, kind in cls.field_bounds.items()
+    ]
+    rules = getattr(cls, "_check", None)
+
+    def validate(self):
+        for index, kind, what in fields:
+            if self[index] is not None:
+                check(kind, self[index], what)
+        if rules is not None:
+            rules(self)
+        return self
 
     @wraps(new)
     def __new__(klass, *args, **kwargs):
-        self = new(klass, *args, **kwargs)
-        self._check()
-        return self
+        return validate(new(klass, *args, **kwargs))
 
     def _make(klass, iterable):
-        self = make(klass, iterable)
-        self._check()
-        return self
+        return validate(make(klass, iterable))
 
     cls.__new__, cls._make = staticmethod(__new__), classmethod(_make)
     return cls

@@ -4,8 +4,6 @@ Exit codes: 0 on success, 1 for domain errors (infeasible targets, bad
 parameters), 2 for invalid job input.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

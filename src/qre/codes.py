@@ -16,7 +16,7 @@ patch-step, ``n(d) * tau(d)``.
 import math
 from typing import NamedTuple
 
-from .bounds import check, checked
+from .bounds import checked
 from .errors import (
     AboveThresholdError,
     DistanceCapError,
@@ -53,16 +53,19 @@ class QecCodeModel(NamedTuple):
     step_gate_factor: int
     step_meas_factor: int
 
+    field_bounds = {
+        "error_prefactor": "error_prefactor",
+        "threshold": "probability",
+        "tile_quadratic": "tile_coefficient",
+        "tile_linear": "tile_coefficient",
+        "tile_constant": "tile_coefficient",
+        "step_gate_factor": "step_factor",
+        "step_meas_factor": "step_factor",
+    }
+
     def _check(self) -> None:
         if not self.name:
             raise ParameterError("code model needs a name")
-        for field, bound in (
-            ("error_prefactor", "error_prefactor"), ("threshold", "probability"),
-            ("tile_quadratic", "tile_coefficient"), ("tile_linear", "tile_coefficient"),
-            ("tile_constant", "tile_coefficient"), ("step_gate_factor", "step_factor"),
-            ("step_meas_factor", "step_factor"),
-        ):
-            check(bound, getattr(self, field), f"code {self.name!r}: {field}")
         if self.step_gate_factor == 0 and self.step_meas_factor == 0:
             raise ParameterError(f"code {self.name!r}: step time is identically zero")
         if self.step_gate_factor > 0 and self.instruction_set is not InstructionSet.GATE_BASED:
@@ -126,27 +129,6 @@ class QecCodeModel(NamedTuple):
                 "meas_factor": self.step_meas_factor,
             },
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QecCodeModel":
-        try:
-            isa = InstructionSet(obj["instruction_set"])
-        except (KeyError, ValueError):
-            valid = ", ".join(m.value for m in InstructionSet)
-            raise ParameterError(f"code instruction_set must be one of: {valid}") from None
-        tile = obj.get("qubits_per_tile", {})
-        step = obj.get("step_time", {})
-        return cls(
-            name=obj.get("name", "custom"),
-            instruction_set=isa,
-            error_prefactor=obj.get("error_prefactor", 0.0),
-            threshold=obj.get("threshold", 0.0),
-            tile_quadratic=tile.get("quadratic", 0),
-            tile_linear=tile.get("linear", 0),
-            tile_constant=tile.get("constant", 0),
-            step_gate_factor=step.get("gate_factor", 0),
-            step_meas_factor=step.get("meas_factor", 0),
-        )
 
 
 SURFACE_GATE = QecCodeModel(

@@ -27,9 +27,7 @@ class SynthesisModel(NamedTuple):
     scale: float = 0.53
     offset: float = 5.3
 
-    def _check(self) -> None:
-        check("synthesis", self.scale, "synthesis scale")
-        check("synthesis", self.offset, "synthesis offset")
+    field_bounds = {"scale": "synthesis", "offset": "synthesis"}
 
 
 @checked
@@ -40,11 +38,10 @@ class BudgetSplit(NamedTuple):
     distillation: float = 1 / 3
     synthesis: float = 1 / 3
 
+    field_bounds = dict.fromkeys(("logical", "distillation", "synthesis"), "budget_share")
+
     def _check(self) -> None:
-        parts = (self.logical, self.distillation, self.synthesis)
-        for part in parts:
-            check("budget_share", part, "budget split fraction")
-        if sum(parts) > 1.0 + 1e-9:
+        if sum(self) > 1.0 + 1e-9:
             raise ParameterError("budget split fractions must sum to at most 1")
 
     def parts(self, eps: float) -> dict[str, float]:
@@ -75,21 +72,17 @@ class AlgorithmCounts(NamedTuple):
     rotation_layers: float
     error_budget: float
 
+    field_bounds = {
+        "algorithm_qubits": "qubits",
+        **dict.fromkeys(
+            ("measurements", "rotations", "t_gates", "toffoli_gates", "rotation_layers"), "count"
+        ),
+        "error_budget": "error_budget",
+    }
+
     def _check(self) -> None:
-        check("qubits", self.algorithm_qubits, "algorithm qubits")
-        for label, value in (
-            ("measurements", self.measurements),
-            ("rotations", self.rotations),
-            ("t_gates", self.t_gates),
-            ("toffoli_gates", self.toffoli_gates),
-            ("rotation_layers", self.rotation_layers),
-        ):
-            if value < 0:
-                raise ParameterError(f"negative count: {label}")
-            check("count", value, label)
         if self.rotations > 0 and self.rotation_layers < 1:
             raise ParameterError("rotation layers required when rotations are present")
-        check("error_budget", self.error_budget, "error_budget")
 
     def to_json(self) -> dict:
         return {
@@ -101,18 +94,6 @@ class AlgorithmCounts(NamedTuple):
             "rotation_layers": self.rotation_layers,
             "error_budget": self.error_budget,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AlgorithmCounts":
-        return cls(
-            algorithm_qubits=obj.get("algorithm_qubits", 0),
-            measurements=obj.get("measurements", 0),
-            rotations=obj.get("rotations", 0),
-            t_gates=obj.get("t_gates", 0),
-            toffoli_gates=obj.get("toffoli_gates", 0),
-            rotation_layers=obj.get("rotation_layers", 0),
-            error_budget=obj.get("error_budget", 0.0),
-        )
 
 
 @checked
@@ -131,6 +112,16 @@ class LogicalRequirements(NamedTuple):
     distillation_budget: float
     synthesis_budget: float
 
+    field_bounds = {
+        "logical_qubits": "logical_qubits",
+        "min_time_steps": "derived_time_steps",
+        "t_states": "derived_count",
+        "error_budget": "error_budget",
+        **dict.fromkeys(
+            ("logical_budget", "distillation_budget", "synthesis_budget"), "budget_part"
+        ),
+    }
+
     @property
     def max_t_state_error(self) -> float:
         """Per-T-state error target; infinite when no T states are needed."""
@@ -139,16 +130,6 @@ class LogicalRequirements(NamedTuple):
         return self.distillation_budget / self.t_states
 
     def _check(self) -> None:
-        check("logical_qubits", self.logical_qubits, "logical qubits")
-        check("derived_time_steps", self.min_time_steps, "min_time_steps")
-        check("derived_count", self.t_states, "t_states")
-        check("error_budget", self.error_budget, "error_budget")
-        for label, part in (
-            ("logical", self.logical_budget),
-            ("distillation", self.distillation_budget),
-            ("synthesis", self.synthesis_budget),
-        ):
-            check("budget_part", part, f"{label} budget")
         total = self.logical_budget + self.distillation_budget + self.synthesis_budget
         if total > self.error_budget * (1 + 1e-9):
             raise ParameterError("budget parts exceed the total error budget")

@@ -5,8 +5,6 @@ integer nanoseconds next to these display strings, so nothing downstream
 needs to parse them back.
 """
 
-from __future__ import annotations
-
 import math
 
 # Largest-first; a duration is shown in the largest unit where it is >= 1.

@@ -305,18 +305,19 @@ class SearchBounds(NamedTuple):
     max_distance: int = 31
     max_final_copies: int = 2
 
+    field_bounds = {
+        "max_rounds": "max_rounds",
+        "min_distance": "factory_distance",
+        "max_distance": "factory_distance",
+        "max_final_copies": "max_final_copies",
+    }
+
     def _check(self) -> None:
-        if self.max_rounds < 1:
-            raise ParameterError("factory search needs at least one round")
-        if self.min_distance < 3:
-            raise ParameterError("factory distances start at 3")
         if self.max_distance < self.min_distance:
             raise ParameterError("empty factory distance range")
-        if self.max_final_copies < 1:
-            raise ParameterError("final round needs at least one unit")
-        for name, cap in SEARCH_CAPS.items():
-            if getattr(self, name) > cap:
-                raise ParameterError(f"factory search {name} is capped at {cap}")
+
+
+_DEFAULT_BOUNDS = SearchBounds()
 
 
 class _Unit(NamedTuple):
@@ -547,7 +548,7 @@ def search_factory(
     """
     if not target_error > 0:
         raise ParameterError("target error must be positive")
-    bounds = SearchBounds() if bounds is None else bounds
+    bounds = _DEFAULT_BOUNDS if bounds is None else bounds
     with _STAIRCASE_LOCK:
         sweep = _sweep(qubit, code, bounds)
         sweep.settle(target_error)

@@ -4,8 +4,6 @@ Domain failures raise :class:`EstimatorError` subclasses (CLI exit code 1),
 malformed job input raises :class:`SchemaError` (exit code 2).
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
 

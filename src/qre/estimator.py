@@ -17,7 +17,7 @@ from .codes import QecCodeModel, select_code
 from .counting import LogicalRequirements
 from .distillation import SearchBounds, TFactory, search_factory
 from .display import format_duration
-from .errors import EstimatorError, ParameterError
+from .errors import EstimatorError
 from .qubits import PhysicalQubitParams
 
 _MAX_PASSES = 5
@@ -190,8 +190,6 @@ def perfect_qubit_estimate(
     requirements: LogicalRequirements, step_time: int
 ) -> PerfectEstimate:
     """Lower bound with noiseless qubits running at a fixed step time."""
-    if step_time <= 0:
-        raise ParameterError("non-positive duration (step_time)")
     check("duration", step_time, "step_time in ns")
     runtime = requirements.min_time_steps * step_time
     if runtime == int(runtime):

@@ -5,9 +5,11 @@ an inline object), plus optional knobs: a schedule stretch factor or a
 frontier sweep, a custom error-budget split, synthesis constants, a code
 distance cap, factory search bounds, and extra code models to consider.
 
-Validation is two-staged: a JSON Schema pass for shape and numeric range
-(:mod:`qre.bounds`), then semantic checks (preset existence, perfect-square
-lattices, budget arithmetic).
+Validation is two-staged: a JSON Schema pass for shape and numeric range,
+then semantic checks (preset existence, perfect-square lattices, and each
+parameter type's own checks as it is built, such as budget arithmetic).
+A type's numeric nodes in the schema come from its ``field_bounds`` map
+(:mod:`qre.bounds`).
 Both stages report :class:`~qre.errors.SchemaError` with a JSON pointer to
 the offending node.
 """
@@ -31,9 +33,10 @@ from .counting import (
 )
 from .distillation import SearchBounds
 from .errors import ParameterError, SchemaError, UnknownPresetError
-from .qubits import PhysicalQubitParams, qubit_preset
+from .qubits import InstructionSet, PhysicalQubitParams, qubit_preset
 
 DISTANCE_CAP_ENV = "QRE_DMAX"
+NS_PER_UNIT = {"ns": 1, "us": 1_000, "ms": 1_000_000}
 
 
 def _bounded(kind: str, name: str) -> dict:
@@ -42,161 +45,144 @@ def _bounded(kind: str, name: str) -> dict:
     return {"type": kind, "minimum": minimum, "maximum": maximum}
 
 
-_DURATION = {
-    "type": "object",
-    "properties": {
-        "value": _bounded("number", "duration"),
-        "unit": {"enum": ["ns", "us", "ms"]},
-    },
-    "required": ["value", "unit"],
-    "additionalProperties": False,
-}
+def _numbers(record: type, *fields: str, **narrower: str) -> dict:
+    """Nodes for the numeric ``fields`` of a parameter type (all it bounds by
+    default): ``integer`` where the field is annotated ``int``, bounded by the
+    kind in the type's ``field_bounds`` or by a ``narrower`` kind."""
+    kinds = {**record.field_bounds, **narrower}
+    types = {field: "integer" if t is int else "number" for field, t in record.__annotations__.items()}
+    return {field: _bounded(types[field], kinds[field]) for field in fields or kinds}
 
-_QUBIT = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "instruction_set": {"enum": ["gate-based", "majorana"]},
-        "t_gate": _DURATION,
-        "t_meas": _DURATION,
-        "p_clifford": _bounded("number", "probability"),
-        "p_t": _bounded("number", "probability"),
-    },
-    "required": ["instruction_set", "t_meas", "p_clifford", "p_t"],
-    "additionalProperties": False,
-}
 
-_COUNTS = {
-    "type": "object",
-    "properties": {
-        "algorithm_qubits": _bounded("integer", "qubits"),
-        "measurements": _bounded("number", "count"),
-        "rotations": _bounded("number", "count"),
-        "t_gates": _bounded("number", "count"),
-        "toffoli_gates": _bounded("number", "count"),
-        "rotation_layers": _bounded("number", "count"),
-        "error_budget": _bounded("number", "error_budget"),
-    },
-    "required": ["algorithm_qubits", "error_budget"],
-    "additionalProperties": False,
-}
+def _object(properties: dict, *required: str, **keywords: Any) -> dict:
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(required),
+        "additionalProperties": False,
+        **keywords,
+    }
 
-_REQUIREMENTS = {
-    "type": "object",
-    "properties": {
-        "logical_qubits": _bounded("integer", "qubits"),
-        "min_time_steps": _bounded("number", "time_steps"),
-        "t_states": _bounded("number", "count"),
-        "error_budget": _bounded("number", "error_budget"),
-    },
-    "required": ["logical_qubits", "min_time_steps", "t_states", "error_budget"],
-    "additionalProperties": False,
-}
 
-_ISING = {
-    "type": "object",
-    "properties": {
-        "N": _bounded("integer", "sites"),
-        "T": _bounded("integer", "trotter_steps"),
-        "M_meas": _bounded("number", "count"),
-        "error_budget": _bounded("number", "error_budget"),
+_INSTRUCTION_SET = {"enum": [isa.value for isa in InstructionSet]}
+_NAME = {"type": "string"}
+# A duration's value is in its unit here and in ns in the type: one kind,
+# checked before and after conversion.
+_DURATION = _object(
+    {
+        "value": _bounded("number", PhysicalQubitParams.field_bounds["t_meas"]),
+        "unit": {"enum": list(NS_PER_UNIT)},
     },
-    "required": ["N", "T"],
-    "additionalProperties": False,
-}
+    "value",
+    "unit",
+)
+# The fields of inline requirements; the budget split gives the rest.
+_REQUIREMENTS = ("logical_qubits", "min_time_steps", "t_states", "error_budget")
 
-_CODE = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "instruction_set": {"enum": ["gate-based", "majorana"]},
-        "error_prefactor": _bounded("number", "error_prefactor"),
-        "threshold": _bounded("number", "probability"),
-        "qubits_per_tile": {
-            "type": "object",
-            "properties": {
-                "quadratic": _bounded("integer", "tile_coefficient"),
-                "linear": _bounded("integer", "tile_coefficient"),
-                "constant": _bounded("integer", "tile_coefficient"),
-            },
-            "additionalProperties": False,
+# The code's nested job objects, and the QecCodeModel field of each key.
+_CODE_GROUPS = {
+    "qubits_per_tile": {
+        "quadratic": "tile_quadratic",
+        "linear": "tile_linear",
+        "constant": "tile_constant",
+    },
+    "step_time": {"gate_factor": "step_gate_factor", "meas_factor": "step_meas_factor"},
+}
+_CODE_NUMBERS = _numbers(QecCodeModel)
+
+_SCHEMA = _object(
+    {
+        "qubit": {
+            "anyOf": [
+                {"type": "string"},
+                _object(
+                    {
+                        **_numbers(PhysicalQubitParams),
+                        "name": _NAME,
+                        "instruction_set": _INSTRUCTION_SET,
+                        "t_gate": _DURATION,
+                        "t_meas": _DURATION,
+                    },
+                    "instruction_set",
+                    "t_meas",
+                    "p_clifford",
+                    "p_t",
+                ),
+            ]
         },
-        "step_time": {
-            "type": "object",
-            "properties": {
-                "gate_factor": _bounded("integer", "step_factor"),
-                "meas_factor": _bounded("integer", "step_factor"),
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["name", "instruction_set", "error_prefactor", "threshold"],
-    "additionalProperties": False,
-}
-
-_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "qubit": {"anyOf": [{"type": "string"}, _QUBIT]},
         "application": {
             "anyOf": [
                 {"type": "string"},
-                {
-                    "type": "object",
-                    "properties": {
-                        "counts": _COUNTS,
-                        "requirements": _REQUIREMENTS,
-                        "ising": _ISING,
+                _object(
+                    {
+                        "counts": _object(
+                            _numbers(AlgorithmCounts), "algorithm_qubits", "error_budget"
+                        ),
+                        # The job states what counts give; derived values may be larger.
+                        "requirements": _object(
+                            _numbers(
+                                LogicalRequirements,
+                                *_REQUIREMENTS,
+                                logical_qubits="qubits",
+                                min_time_steps="time_steps",
+                                t_states="count",
+                            ),
+                            *_REQUIREMENTS,
+                        ),
+                        "ising": _object(
+                            {
+                                "N": _bounded("integer", "sites"),
+                                "T": _bounded("integer", "trotter_steps"),
+                                "M_meas": _bounded("number", "count"),
+                                "error_budget": _bounded("number", "error_budget"),
+                            },
+                            "N",
+                            "T",
+                        ),
                     },
-                    "minProperties": 1,
-                    "maxProperties": 1,
-                    "additionalProperties": False,
-                },
+                    minProperties=1,
+                    maxProperties=1,
+                ),
             ]
         },
         "c_factor": _bounded("number", "stretch"),
-        "frontier_factors": {"type": "array", "items": _bounded("number", "stretch")},
-        "budget_split": {
-            "type": "object",
-            "properties": {
-                "logical": _bounded("number", "budget_share"),
-                "distillation": _bounded("number", "budget_share"),
-                "synthesis": _bounded("number", "budget_share"),
-            },
-            "required": ["logical", "distillation", "synthesis"],
-            "additionalProperties": False,
+        "frontier_factors": {
+            "type": "array",
+            "items": _bounded("number", "stretch"),
+            "minItems": 1,
         },
-        "overrides": {
-            "type": "object",
-            "properties": {
-                "synthesis": {
-                    "type": "object",
-                    "properties": {
-                        "scale": _bounded("number", "synthesis"),
-                        "offset": _bounded("number", "synthesis"),
-                    },
-                    "additionalProperties": False,
-                },
+        "budget_split": _object(_numbers(BudgetSplit), *BudgetSplit._fields),
+        "overrides": _object(
+            {
+                "synthesis": _object(_numbers(SynthesisModel)),
                 "max_code_distance": _bounded("integer", "code_distance"),
-                "factory": {
-                    "type": "object",
-                    "properties": {
-                        "max_rounds": _bounded("integer", "max_rounds"),
-                        "min_distance": _bounded("integer", "factory_distance"),
-                        "max_distance": _bounded("integer", "factory_distance"),
-                        "max_final_copies": _bounded("integer", "max_final_copies"),
+                "factory": _object(_numbers(SearchBounds)),
+            }
+        ),
+        "codes": {
+            "type": "array",
+            "items": _object(
+                {
+                    "name": _NAME,
+                    "instruction_set": _INSTRUCTION_SET,
+                    "error_prefactor": _CODE_NUMBERS["error_prefactor"],
+                    "threshold": _CODE_NUMBERS["threshold"],
+                    **{
+                        group: _object({key: _CODE_NUMBERS[field] for key, field in fields.items()})
+                        for group, fields in _CODE_GROUPS.items()
                     },
-                    "additionalProperties": False,
                 },
-            },
-            "additionalProperties": False,
+                "name",
+                "instruction_set",
+                "error_prefactor",
+                "threshold",
+            ),
         },
-        "codes": {"type": "array", "items": _CODE},
     },
-    "required": ["qubit", "application"],
-    "additionalProperties": False,
-}
+    "qubit",
+    "application",
+    **{"$schema": "https://json-schema.org/draft/2020-12/schema"},
+)
 
 # The published Ising dynamics workload runs with this end-to-end budget;
 # inline ising jobs inherit it unless they say otherwise.
@@ -254,6 +240,8 @@ def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> None:
         if not lo <= node <= hi:
             fail(f"expected a finite number in [{lo:.16g}, {hi:.16g}], got {reprlib.repr(node)}")
     if isinstance(node, list):
+        if len(node) < schema.get("minItems", 0):
+            fail(f"{reprlib.repr(node)} should have at least {schema['minItems']} items")
         for index, item in enumerate(node):
             _schema_pass(item, schema["items"], *path, index)
     if not isinstance(node, dict):
@@ -272,28 +260,47 @@ def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> None:
             _schema_pass(value, properties[key], *path, key)
 
 
-def _resolve_qubit(spec: Any) -> PhysicalQubitParams:
-    if isinstance(spec, str):
-        try:
-            return qubit_preset(spec)
-        except UnknownPresetError as exc:
-            raise SchemaError(str(exc), "/qubit") from None
+def _ns(duration: dict, where: str) -> int:
+    """A job duration in whole nanoseconds: its value must be some integer
+    count of ns, written in its unit. Past 2**53 ns, where that conversion
+    rounds, every product is whole."""
+    scale, value = NS_PER_UNIT[duration["unit"]], duration["value"]
+    ns = round(value * scale)
+    if ns / scale != value and ns != value * scale:
+        raise ParameterError(f"{where}: duration must be a whole number of nanoseconds")
+    return ns
+
+
+def _qubit(spec: dict) -> PhysicalQubitParams:
+    fields = {"name": "custom", **spec}
+    fields["instruction_set"] = InstructionSet(spec["instruction_set"])
+    for key in ("t_gate", "t_meas"):
+        if key in spec:
+            fields[key] = _ns(spec[key], f"qubit {fields['name']!r} {key}")
+    return PhysicalQubitParams(**fields)
+
+
+def _code(spec: dict) -> QecCodeModel:
+    """Flatten a code's nested job objects into its fields; left-out
+    coefficients and factors are zero."""
+    fields = {key: value for key, value in spec.items() if key not in _CODE_GROUPS}
+    fields["instruction_set"] = InstructionSet(spec["instruction_set"])
+    for group, names in _CODE_GROUPS.items():
+        given = spec.get(group, {})
+        fields.update({field: given.get(key, 0) for key, field in names.items()})
+    return QecCodeModel(**fields)
+
+
+def _at(pointer: str, build: Any, *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, its parameter or preset errors reported at ``pointer``."""
     try:
-        return PhysicalQubitParams.from_json(spec)
-    except ParameterError as exc:
-        raise SchemaError(str(exc), "/qubit") from None
+        return build(*args, **kwargs)
+    except (ParameterError, UnknownPresetError) as exc:
+        raise SchemaError(str(exc), pointer) from None
 
 
-def _resolve_codes(spec: Any) -> tuple[QecCodeModel, ...] | None:
-    if spec is None:
-        return None
-    extra = []
-    for index, entry in enumerate(spec):
-        try:
-            extra.append(QecCodeModel.from_json(entry))
-        except ParameterError as exc:
-            raise SchemaError(str(exc), _pointer("codes", index)) from None
-    return BUILTIN_CODES + tuple(extra)
+# Counts a job leaves out are zero; the schema requires the other two fields.
+_NO_COUNTS = dict.fromkeys(AlgorithmCounts._fields, 0)
 
 
 def _resolve_application(
@@ -302,42 +309,21 @@ def _resolve_application(
     synthesis: SynthesisModel,
 ) -> tuple[LogicalRequirements, tuple[str, ...]]:
     if isinstance(spec, str):
-        try:
-            preset = application_preset(spec)
-        except UnknownPresetError as exc:
-            raise SchemaError(str(exc), "/application") from None
+        preset = _at("/application", application_preset, spec)
         return preset.resolve(split, synthesis), preset.notes
     if "counts" in spec:
-        try:
-            reqs = logical_counts(AlgorithmCounts.from_json(spec["counts"]), split, synthesis)
-        except ParameterError as exc:
-            raise SchemaError(str(exc), "/application/counts") from None
-        return reqs, ()
+        counts = _at("/application/counts", AlgorithmCounts, **{**_NO_COUNTS, **spec["counts"]})
+        return _at("/application/counts", logical_counts, counts, split, synthesis), ()
     if "requirements" in spec:
         raw = spec["requirements"]
-        use = split if split is not None else BudgetSplit()
-        try:
-            reqs = LogicalRequirements(**raw, **use.parts(raw["error_budget"]))
-        except ParameterError as exc:
-            raise SchemaError(str(exc), "/application/requirements") from None
-        return reqs, ()
+        parts = (split if split is not None else BudgetSplit()).parts(raw["error_budget"])
+        return _at("/application/requirements", LogicalRequirements, **raw, **parts), ()
     raw = spec["ising"]
-    sites = raw["N"]
-    if math.isqrt(sites) ** 2 != sites:
-        raise SchemaError(
-            "lattice sites must be a perfect square", "/application/ising/N"
-        )
-    try:
-        counts = ising_counts(
-            sites,
-            raw["T"],
-            raw.get("error_budget", _DEFAULT_ISING_BUDGET),
-            raw.get("M_meas"),
-        )
-        reqs = logical_counts(counts, split, synthesis)
-    except ParameterError as exc:
-        raise SchemaError(str(exc), "/application/ising") from None
-    return reqs, ()
+    if math.isqrt(raw["N"]) ** 2 != raw["N"]:
+        raise SchemaError("lattice sites must be a perfect square", "/application/ising/N")
+    budget = raw.get("error_budget", _DEFAULT_ISING_BUDGET)
+    counts = _at("/application/ising", ising_counts, raw["N"], raw["T"], budget, raw.get("M_meas"))
+    return _at("/application/ising", logical_counts, counts, split, synthesis), ()
 
 
 def _resolve_distance_cap(overrides: dict) -> int | None:
@@ -366,25 +352,19 @@ def parse_job(obj: Any) -> JobSpec:
     overrides = obj.get("overrides", {})
     synthesis = SynthesisModel(**overrides.get("synthesis", {}))
 
-    split: BudgetSplit | None = None
+    split = None
     if "budget_split" in obj:
-        try:
-            split = BudgetSplit(**obj["budget_split"])
-        except ParameterError as exc:
-            raise SchemaError(str(exc), "/budget_split") from None
-
-    qubit = _resolve_qubit(obj["qubit"])
-    requirements, notes = _resolve_application(
-        obj["application"], split, synthesis
-    )
-    codes = _resolve_codes(obj.get("codes"))
-
+        split = _at("/budget_split", BudgetSplit, **obj["budget_split"])
+    spec = obj["qubit"]
+    qubit = _at("/qubit", qubit_preset if isinstance(spec, str) else _qubit, spec)
+    requirements, notes = _resolve_application(obj["application"], split, synthesis)
+    codes = None
+    if "codes" in obj:
+        extra = (_at(_pointer("codes", i), _code, code) for i, code in enumerate(obj["codes"]))
+        codes = BUILTIN_CODES + tuple(extra)
     factory_bounds = None
     if "factory" in overrides:
-        try:
-            factory_bounds = SearchBounds(**overrides["factory"])
-        except ParameterError as exc:
-            raise SchemaError(str(exc), "/overrides/factory") from None
+        factory_bounds = _at("/overrides/factory", SearchBounds, **overrides["factory"])
 
     frontier_factors = None
     if "frontier_factors" in obj:

@@ -8,10 +8,8 @@ the primitives take, and how often they fail.
 import enum
 from typing import Any, NamedTuple
 
-from .bounds import check, checked
+from .bounds import checked
 from .errors import ParameterError, UnknownPresetError
-
-NS_PER_UNIT = {"ns": 1, "us": 1_000, "ms": 1_000_000}
 
 
 class InstructionSet(enum.Enum):
@@ -24,22 +22,6 @@ class InstructionSet(enum.Enum):
 
     GATE_BASED = "gate-based"
     MAJORANA = "majorana"
-
-
-def _duration_to_ns(obj: Any, where: str) -> int:
-    if not isinstance(obj, dict) or set(obj) != {"value", "unit"}:
-        raise ParameterError(f"{where}: durations are objects with 'value' and 'unit'")
-    unit = obj["unit"]
-    if unit not in NS_PER_UNIT:
-        raise ParameterError(f"{where}: unknown time unit {unit!r}")
-    value = obj["value"]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{where}: duration value must be a number")
-    check("duration", value, f"{where} value")
-    ns = value * NS_PER_UNIT[unit]
-    if ns != int(ns):
-        raise ParameterError(f"{where}: duration must be a whole number of nanoseconds")
-    return int(ns)
 
 
 @checked
@@ -62,24 +44,19 @@ class PhysicalQubitParams(NamedTuple):
     p_t: float
     t_gate: int | None = None
 
+    field_bounds = {
+        "t_meas": "duration",
+        "p_clifford": "probability",
+        "p_t": "probability",
+        "t_gate": "duration",
+    }
+
     def _check(self) -> None:
-        """Raise :class:`ParameterError` unless the parameters are usable."""
-        for label, p in (("p_clifford", self.p_clifford), ("p_t", self.p_t)):
-            if not 0.0 < p < 1.0:
-                raise ParameterError(
-                    f"qubit {self.name!r}: probability out of range ({label}={p!r})"
-                )
-        if self.t_meas <= 0:
-            raise ParameterError(f"qubit {self.name!r}: non-positive duration (t_meas)")
-        check("duration", self.t_meas, f"qubit {self.name!r}: t_meas in ns")
         if self.instruction_set is InstructionSet.GATE_BASED:
             if self.t_gate is None:
                 raise ParameterError(
                     f"qubit {self.name!r}: gate-based instruction set requires t_gate"
                 )
-            if self.t_gate <= 0:
-                raise ParameterError(f"qubit {self.name!r}: non-positive duration (t_gate)")
-            check("duration", self.t_gate, f"qubit {self.name!r}: t_gate in ns")
         elif self.t_gate is not None:
             raise ParameterError(
                 f"qubit {self.name!r}: t_gate is only meaningful for gate-based hardware"
@@ -97,31 +74,6 @@ class PhysicalQubitParams(NamedTuple):
         if self.t_gate is not None:
             obj["t_gate"] = {"value": self.t_gate, "unit": "ns"}
         return obj
-
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "PhysicalQubitParams":
-        """Build a parameter set from its JSON form."""
-        if not isinstance(obj, dict):
-            raise ParameterError("qubit description must be an object")
-        try:
-            isa = InstructionSet(obj["instruction_set"])
-        except (KeyError, ValueError):
-            valid = ", ".join(m.value for m in InstructionSet)
-            raise ParameterError(f"qubit instruction_set must be one of: {valid}") from None
-        name = obj.get("name", "custom")
-        t_gate = None
-        if "t_gate" in obj:
-            t_gate = _duration_to_ns(obj["t_gate"], f"qubit {name!r} t_gate")
-        if "t_meas" not in obj:
-            raise ParameterError(f"qubit {name!r}: t_meas is required")
-        return cls(
-            name=name,
-            instruction_set=isa,
-            t_meas=_duration_to_ns(obj["t_meas"], f"qubit {name!r} t_meas"),
-            p_clifford=obj.get("p_clifford", 0.0),
-            p_t=obj.get("p_t", 0.0),
-            t_gate=t_gate,
-        )
 
 
 def _gate_based(name: str, t_gate: int, t_meas: int, p: float, p_t: float) -> PhysicalQubitParams:

@@ -25,6 +25,8 @@ from qre import (
     EstimatorError,
     LogicalRequirements,
     ParameterError,
+    PhysicalQubitParams,
+    QecCodeModel,
     SearchBounds,
     SynthesisModel,
     estimate,
@@ -66,6 +68,64 @@ def test_search_caps_come_from_the_table():
         "max_distance": BOUNDS["factory_distance"][1],
         "max_final_copies": BOUNDS["max_final_copies"][1],
     }
+
+
+# Where each parameter type sits in a job, and the job path of each field
+# that the job names differently, nests, or (as None) leaves to be derived.
+_TYPE_NODES = {
+    PhysicalQubitParams: (
+        ("qubit",),
+        {"t_meas": ("t_meas", "value"), "t_gate": ("t_gate", "value")},
+    ),
+    QecCodeModel: (
+        ("codes", 0),
+        {
+            "tile_quadratic": ("qubits_per_tile", "quadratic"),
+            "tile_linear": ("qubits_per_tile", "linear"),
+            "tile_constant": ("qubits_per_tile", "constant"),
+            "step_gate_factor": ("step_time", "gate_factor"),
+            "step_meas_factor": ("step_time", "meas_factor"),
+        },
+    ),
+    AlgorithmCounts: (("application", "counts"), {}),
+    LogicalRequirements: (
+        ("application", "requirements"),
+        dict.fromkeys(("logical_budget", "distillation_budget", "synthesis_budget")),
+    ),
+    BudgetSplit: (("budget_split",), {}),
+    SynthesisModel: (("overrides", "synthesis"), {}),
+    SearchBounds: (("overrides", "factory"), {}),
+}
+# A job states what counts give; the type also admits what they derive.
+_NARROWER = {"logical_qubits", "min_time_steps", "t_states"}
+
+
+@pytest.mark.parametrize("record", _TYPE_NODES, ids=lambda record: record.__name__)
+def test_schema_numbers_come_from_the_field_bounds(record):
+    """Each type's numbers in the schema are its ``field_bounds``, typed from
+    its annotations; where a job's bound is narrower, it lies inside the type's."""
+    base, paths = _TYPE_NODES[record]
+    expected = set()
+    for field, kind in record.field_bounds.items():
+        path = paths.get(field, (field,))
+        if path is None:
+            continue
+        expected.add(path)
+        node = _node_at(_SCHEMA, (*base, *path))
+        lo, hi = BOUNDS[kind]
+        if record is LogicalRequirements and field in _NARROWER:
+            assert lo <= node["minimum"] and node["maximum"] <= hi, field
+            assert (node["minimum"], node["maximum"]) != (lo, hi), field
+        else:
+            assert (node["minimum"], node["maximum"]) == (lo, hi), field
+        if path[-1] == "value":  # a duration, in the job's unit
+            assert node["type"] == "number"
+        else:
+            integer = record.__annotations__[field] is int
+            assert node["type"] == ("integer" if integer else "number"), field
+    node = _node_at(_SCHEMA, base)
+    node = next((s for s in node.get("anyOf", ()) if s["type"] == "object"), node)
+    assert {path for path, _ in _numeric_nodes(node)} == expected
 
 
 # --- main() over jobs drawn from the schema's shapes ------------------------

@@ -12,7 +12,7 @@ from qre import (
     InstructionSet,
     ParameterError,
     PhysicalQubitParams,
-    QecCodeModel,
+    parse_job,
     patch,
     qubit_preset,
     required_distance,
@@ -154,8 +154,8 @@ def test_select_code_above_threshold_everywhere():
 
 class TestCustomCodeValidation:
     def test_round_trip(self):
-        code = QecCodeModel.from_json(SURFACE_GATE.to_json())
-        assert code == SURFACE_GATE
+        job = {"qubit": "ns-e4", "application": "dynamics", "codes": [SURFACE_GATE.to_json()]}
+        assert parse_job(job).codes[-1] == SURFACE_GATE
 
     def test_zero_step_time_rejected(self):
         with pytest.raises(ParameterError, match="step time"):

@@ -268,9 +268,10 @@ class TestCli:
             tmp_path,
             {"qubit": "ns-e4", "application": "dynamics", "frontier_factors": []},
         )
-        assert main(["frontier", "--job", path]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 1
+        for command in ("estimate", "frontier"):
+            assert main([command, "--job", path]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.rstrip().endswith("(at /frontier_factors)")
 
     def test_validate(self, factoring_job, capsys):
         assert main(["validate", "--job", factoring_job]) == 0
@@ -494,7 +495,7 @@ def test_cli_import_needs_no_scipy_or_numpy():
     # would each cost a cold start more than they give.
     banned = (
         "scipy", "numpy", "jsonschema", "referencing", "rpds", "attr", "attrs", "concurrent",
-        "dataclasses", "inspect", "csv",
+        "dataclasses", "inspect", "csv", "__future__",
     )
     code = (
         "import sys, qre.cli; "

@@ -4,7 +4,9 @@ from qre import (
     InstructionSet,
     ParameterError,
     PhysicalQubitParams,
+    SchemaError,
     UnknownPresetError,
+    parse_job,
     qubit_preset,
     qubit_preset_names,
 )
@@ -88,10 +90,19 @@ def test_majorana_rejects_gate_time():
         )
 
 
+def _inline(qubit):
+    return parse_job({"qubit": qubit, "application": "dynamics"}).qubit
+
+
+_MAJORANA = {"instruction_set": "majorana", "p_clifford": 1e-4, "p_t": 0.05}
+
+
 class TestJsonRoundTrip:
+    """Inline job qubits, with durations in any unit, built through parse_job."""
+
     def test_round_trip(self):
         q = qubit_preset("ns-e4")
-        assert PhysicalQubitParams.from_json(q.to_json()) == q
+        assert _inline(q.to_json()) == q
 
     def test_microsecond_conversion(self):
         obj = {
@@ -102,30 +113,43 @@ class TestJsonRoundTrip:
             "p_clifford": 1e-3,
             "p_t": 1e-6,
         }
-        q = PhysicalQubitParams.from_json(obj)
+        q = _inline(obj)
         assert q.t_gate == 100_000
         assert q.t_meas == 100_000
 
     def test_fractional_nanoseconds_rejected(self):
-        obj = {
-            "instruction_set": "majorana",
-            "t_meas": {"value": 0.5, "unit": "ns"},
-            "p_clifford": 1e-4,
-            "p_t": 0.05,
-        }
-        with pytest.raises(ParameterError, match="whole number"):
-            PhysicalQubitParams.from_json(obj)
+        for value, unit in ((0.5, "ns"), (0.0005, "us")):
+            obj = {**_MAJORANA, "t_meas": {"value": value, "unit": unit}}
+            with pytest.raises(SchemaError, match="whole number") as info:
+                _inline(obj)
+            assert info.value.pointer == "/qubit"
+
+    def test_huge_duration_is_out_of_range_not_fractional(self):
+        """Past 2**53 ns the unit conversion rounds, but the value is whole."""
+        obj = {**_MAJORANA, "t_meas": {"value": 541417058668768.6, "unit": "ms"}}
+        with pytest.raises(SchemaError, match="duration out of range") as info:
+            _inline(obj)
+        assert info.value.pointer == "/qubit"
 
     def test_unknown_unit_rejected(self):
-        obj = {
-            "instruction_set": "majorana",
-            "t_meas": {"value": 1, "unit": "s"},
-            "p_clifford": 1e-4,
-            "p_t": 0.05,
-        }
-        with pytest.raises(ParameterError, match="unknown time unit"):
-            PhysicalQubitParams.from_json(obj)
+        obj = {**_MAJORANA, "t_meas": {"value": 1, "unit": "s"}}
+        with pytest.raises(SchemaError, match="is not one of") as info:
+            _inline(obj)
+        assert info.value.pointer == "/qubit/t_meas/unit"
 
     def test_bad_instruction_set_rejected(self):
-        with pytest.raises(ParameterError, match="instruction_set"):
-            PhysicalQubitParams.from_json({"instruction_set": "trapped-ion"})
+        obj = {**_MAJORANA, "t_meas": {"value": 1, "unit": "us"}, "instruction_set": "trapped-ion"}
+        with pytest.raises(SchemaError, match="instruction_set") as info:
+            _inline(obj)
+        assert info.value.pointer == "/qubit/instruction_set"
+
+
+def test_every_three_decimal_microsecond_duration_is_whole_nanoseconds():
+    """A whole number of ns written in a larger unit is accepted even where
+    the float product is inexact: 1.001 * 1000 is not 1001."""
+    assert 1.001 * 1000 != 1001
+    assert _inline({**_MAJORANA, "t_meas": {"value": 1.001, "unit": "us"}}).t_meas == 1001
+    from qre.jobs import _ns  # the conversion alone, for speed
+
+    for ns in range(1, 100_000):
+        assert _ns({"value": ns / 1000, "unit": "us"}, "t_meas") == ns

@@ -9,8 +9,10 @@ any order, report the same best error when no factory meets the target,
 and hold exactly the oracle's staircase once it has run to its end.
 """
 
+import contextlib
 import math
 import random
+import threading
 from bisect import bisect_left
 from itertools import combinations_with_replacement, product
 
@@ -320,7 +322,18 @@ def test_caches_are_bounded():
     assert distillation._sweep.cache_info().maxsize == 32
 
 
-def test_parallel_frontier_builds_each_staircase_once():
+def test_parallel_frontier_builds_each_staircase_once(monkeypatch):
+    """Building a sweep waits for a second thread to arrive, so without the
+    lock two threads always both miss the cache; with it, the wait times out."""
+    arrival = threading.Barrier(2, timeout=1.0)
+
+    class WaitingSweep(distillation._Sweep):
+        def __init__(self, *args):
+            with contextlib.suppress(threading.BrokenBarrierError):
+                arrival.wait()
+            super().__init__(*args)
+
+    monkeypatch.setattr(distillation, "_Sweep", WaitingSweep)
     qubit = qubit_preset("ns-e4")._replace(name="fresh-for-single-flight")
     reqs = LogicalRequirements(
         logical_qubits=20,
