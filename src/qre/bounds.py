@@ -60,7 +60,9 @@ def checked(cls):
 
     Each field named in ``cls.field_bounds``, a ``{field: kind}`` map, is
     checked against ``BOUNDS[kind]`` unless it is None. Then ``cls._check()``,
-    where defined, checks the rules that span fields.
+    where defined, checks the rules that span fields. When every field has a
+    default, the all-defaults instance is built and checked once, and a call
+    with no arguments returns it.
     """
     new, make = cls.__new__, cls._make.__func__
     fields = [
@@ -79,10 +81,13 @@ def checked(cls):
 
     @wraps(new)
     def __new__(klass, *args, **kwargs):
+        if shared is not None and not (args or kwargs):
+            return shared
         return validate(new(klass, *args, **kwargs))
 
     def _make(klass, iterable):
         return validate(make(klass, iterable))
 
+    shared = validate(new(cls)) if len(cls._field_defaults) == len(cls._fields) else None
     cls.__new__, cls._make = staticmethod(__new__), classmethod(_make)
     return cls

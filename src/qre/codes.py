@@ -62,6 +62,15 @@ class QecCodeModel(NamedTuple):
         "step_gate_factor": "step_factor",
         "step_meas_factor": "step_factor",
     }
+    # The code's nested job objects, and the field each of their keys sets.
+    job_groups = {
+        "qubits_per_tile": {
+            "quadratic": "tile_quadratic",
+            "linear": "tile_linear",
+            "constant": "tile_constant",
+        },
+        "step_time": {"gate_factor": "step_gate_factor", "meas_factor": "step_meas_factor"},
+    }
 
     def _check(self) -> None:
         if not self.name:
@@ -114,21 +123,12 @@ class QecCodeModel(NamedTuple):
             )
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "instruction_set": self.instruction_set.value,
-            "error_prefactor": self.error_prefactor,
-            "threshold": self.threshold,
-            "qubits_per_tile": {
-                "quadratic": self.tile_quadratic,
-                "linear": self.tile_linear,
-                "constant": self.tile_constant,
-            },
-            "step_time": {
-                "gate_factor": self.step_gate_factor,
-                "meas_factor": self.step_meas_factor,
-            },
+        flat = self._asdict()
+        groups = {
+            group: {key: flat.pop(field) for key, field in keys.items()}
+            for group, keys in self.job_groups.items()
         }
+        return {**flat, "instruction_set": self.instruction_set.value, **groups}
 
 
 SURFACE_GATE = QecCodeModel(
@@ -219,7 +219,7 @@ def required_distance(
     code: QecCodeModel,
     qubit: PhysicalQubitParams,
     target_error: float,
-    distance_cap: int | None = None,
+    distance_cap: int = DEFAULT_DISTANCE_CAP,
 ) -> int:
     """Smallest odd distance with a per-step logical error at or below target.
 
@@ -229,7 +229,6 @@ def required_distance(
     """
     if not target_error > 0:
         raise ParameterError("target error must be positive")
-    cap = DEFAULT_DISTANCE_CAP if distance_cap is None else distance_cap
     ratio = code._suppression_base(qubit)
     if target_error >= code.error_prefactor:
         return 3
@@ -239,10 +238,10 @@ def required_distance(
         d -= 2
     while code.logical_error(qubit, d) > target_error:
         d += 2
-    if d > cap:
+    if d > distance_cap:
         raise DistanceCapError(
             f"distance cap exceeded: code {code.name!r} needs d={d} for "
-            f"target {target_error:.3g} (cap {cap})"
+            f"target {target_error:.3g} (cap {distance_cap})"
         )
     return d
 
@@ -250,16 +249,15 @@ def required_distance(
 def select_code(
     qubit: PhysicalQubitParams,
     target_error: float,
-    codes: tuple[QecCodeModel, ...] | None = None,
-    distance_cap: int | None = None,
+    codes: tuple[QecCodeModel, ...] = BUILTIN_CODES,
+    distance_cap: int = DEFAULT_DISTANCE_CAP,
 ) -> tuple[QecCodeModel, int]:
     """Pick the cheapest compatible code and distance for a target error rate.
 
     Cost is the spacetime footprint per patch-step, ``n(d) * tau(d)``. Ties
     go to the smaller tile, then to the earlier entry in ``codes``.
     """
-    pool = BUILTIN_CODES if codes is None else codes
-    compatible = [c for c in pool if c.instruction_set is qubit.instruction_set]
+    compatible = [c for c in codes if c.instruction_set is qubit.instruction_set]
     if not compatible:
         raise ParameterError(
             f"no code model is compatible with instruction set "

@@ -85,15 +85,7 @@ class AlgorithmCounts(NamedTuple):
             raise ParameterError("rotation layers required when rotations are present")
 
     def to_json(self) -> dict:
-        return {
-            "algorithm_qubits": self.algorithm_qubits,
-            "measurements": self.measurements,
-            "rotations": self.rotations,
-            "t_gates": self.t_gates,
-            "toffoli_gates": self.toffoli_gates,
-            "rotation_layers": self.rotation_layers,
-            "error_budget": self.error_budget,
-        }
+        return self._asdict()
 
 
 @checked
@@ -142,7 +134,7 @@ class LogicalRequirements(NamedTuple):
 def rotation_t_count(
     synthesis_budget: float,
     rotations: float,
-    model: SynthesisModel | None = None,
+    model: SynthesisModel = SynthesisModel(),
 ) -> int:
     """T gates needed per rotation so all rotations fit the synthesis budget.
 
@@ -155,7 +147,6 @@ def rotation_t_count(
     if not synthesis_budget > 0:
         raise ParameterError("synthesis budget must be positive")
     check("budget_part", synthesis_budget, "synthesis budget")
-    model = SynthesisModel() if model is None else model
     return math.ceil(model.scale * math.log2(rotations / synthesis_budget) + model.offset)
 
 
@@ -166,8 +157,8 @@ def _compiled_qubits(algorithm_qubits: int) -> int:
 
 def logical_counts(
     counts: AlgorithmCounts,
-    split: BudgetSplit | None = None,
-    synthesis: SynthesisModel | None = None,
+    split: BudgetSplit = BudgetSplit(),
+    synthesis: SynthesisModel = SynthesisModel(),
 ) -> LogicalRequirements:
     """Reduce operation counts to physical-layer requirements.
 
@@ -177,7 +168,6 @@ def logical_counts(
     T-state total picks up the synthesized rotations, four states per
     Toffoli, and the explicit T gates.
     """
-    split = BudgetSplit() if split is None else split
     parts = split.parts(counts.error_budget)
     per_rotation = rotation_t_count(parts["synthesis_budget"], counts.rotations, synthesis)
     min_steps = (
@@ -238,14 +228,11 @@ class ApplicationPreset(NamedTuple):
 
     def resolve(
         self,
-        split: BudgetSplit | None = None,
-        synthesis: SynthesisModel | None = None,
+        split: BudgetSplit = BudgetSplit(),
+        synthesis: SynthesisModel = SynthesisModel(),
     ) -> LogicalRequirements:
         if self.counts is not None:
             return logical_counts(self.counts, split, synthesis)
-        assert self.requirements is not None
-        if split is None:
-            return self.requirements
         return self.requirements.with_budget_split(split)
 
 

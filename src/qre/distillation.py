@@ -61,20 +61,14 @@ class UnitLevel(enum.Enum):
     LOGICAL = "logical"
 
 
-# (kind, level) -> qubit cost factor, duration factor. Physical rows are
+# (kind, level) -> (qubit cost factor, duration factor). Physical rows are
 # absolute qubits and multiples of t_meas; logical rows are multiples of the
 # patch tile size and of the patch step time.
-_UNIT_QUBITS = {
-    (UnitKind.SPACE_EFFICIENT, UnitLevel.PHYSICAL): 12,
-    (UnitKind.RM_PREP, UnitLevel.PHYSICAL): 31,
-    (UnitKind.SPACE_EFFICIENT, UnitLevel.LOGICAL): 20,
-    (UnitKind.RM_PREP, UnitLevel.LOGICAL): 31,
-}
-_UNIT_STEPS = {
-    (UnitKind.SPACE_EFFICIENT, UnitLevel.PHYSICAL): 46,
-    (UnitKind.RM_PREP, UnitLevel.PHYSICAL): 23,
-    (UnitKind.SPACE_EFFICIENT, UnitLevel.LOGICAL): 13,
-    (UnitKind.RM_PREP, UnitLevel.LOGICAL): 11,
+_UNIT_COSTS = {
+    (UnitKind.SPACE_EFFICIENT, UnitLevel.PHYSICAL): (12, 46),
+    (UnitKind.RM_PREP, UnitLevel.PHYSICAL): (31, 23),
+    (UnitKind.SPACE_EFFICIENT, UnitLevel.LOGICAL): (20, 13),
+    (UnitKind.RM_PREP, UnitLevel.LOGICAL): (31, 11),
 }
 
 
@@ -179,7 +173,7 @@ class DistillationUnitSpec(NamedTuple):
         return None if self.patch is None else self.patch.distance
 
     def qubit_cost(self) -> int:
-        factor = _UNIT_QUBITS[(self.kind, self.level)]
+        factor = _UNIT_COSTS[(self.kind, self.level)][0]
         if self.patch is None:
             return factor
         return factor * self.patch.tile_qubits
@@ -187,7 +181,7 @@ class DistillationUnitSpec(NamedTuple):
     def duration(self, qubit: PhysicalQubitParams) -> int:
         """Wall-clock time of one unit, in nanoseconds."""
         self._check_host(qubit)
-        factor = _UNIT_STEPS[(self.kind, self.level)]
+        factor = _UNIT_COSTS[(self.kind, self.level)][1]
         if self.patch is None:
             return factor * qubit.t_meas
         return factor * self.patch.step_time
@@ -313,11 +307,9 @@ class SearchBounds(NamedTuple):
     }
 
     def _check(self) -> None:
-        if self.max_distance < self.min_distance:
+        # Factory distances are odd: the range needs an odd value in it.
+        if self.max_distance < (self.min_distance | 1):
             raise ParameterError("empty factory distance range")
-
-
-_DEFAULT_BOUNDS = SearchBounds()
 
 
 class _Unit(NamedTuple):
@@ -394,12 +386,12 @@ class _Sweep:
         self._heap: list[tuple] = []
         self._chains: dict[tuple, tuple[float, tuple] | None] = {}
         self._order = count()
-        if distances:
-            self._top = distances[-1]
-            self._floor = 7.1 * patches[self._top].logical_error
-            for shape, (prefix, tables) in enumerate(self._shapes):
-                units = prefix + tuple(table[distances[0]] for table in tables)
-                self._push(shape, (distances[0],) * len(tables), len(tables) - 1, units)
+        # SearchBounds keeps an odd distance in range, so ``distances`` is not empty.
+        self._top = distances[-1]
+        self._floor = 7.1 * patches[self._top].logical_error
+        for shape, (prefix, tables) in enumerate(self._shapes):
+            units = prefix + tuple(table[distances[0]] for table in tables)
+            self._push(shape, (distances[0],) * len(tables), len(tables) - 1, units)
 
     def _chain(self, shape: int, distances: tuple[int, ...]) -> tuple[float, tuple] | None:
         """Output error and round acceptances of the shape's rounds up to
@@ -526,7 +518,7 @@ def search_factory(
     qubit: PhysicalQubitParams,
     code: QecCodeModel,
     target_error: float,
-    bounds: SearchBounds | None = None,
+    bounds: SearchBounds = SearchBounds(),
 ) -> TFactory:
     """Cheapest factory whose output error meets the target.
 
@@ -548,7 +540,6 @@ def search_factory(
     """
     if not target_error > 0:
         raise ParameterError("target error must be positive")
-    bounds = _DEFAULT_BOUNDS if bounds is None else bounds
     with _STAIRCASE_LOCK:
         sweep = _sweep(qubit, code, bounds)
         sweep.settle(target_error)

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .bounds import check
-from .codes import QecCodeModel, select_code
+from .codes import BUILTIN_CODES, DEFAULT_DISTANCE_CAP, QecCodeModel, select_code
 from .counting import LogicalRequirements
 from .distillation import SearchBounds, TFactory, search_factory
 from .display import format_duration
@@ -90,9 +90,9 @@ def estimate(
     requirements: LogicalRequirements,
     c_factor: float = 1.0,
     *,
-    codes: tuple[QecCodeModel, ...] | None = None,
-    distance_cap: int | None = None,
-    factory_bounds: SearchBounds | None = None,
+    codes: tuple[QecCodeModel, ...] = BUILTIN_CODES,
+    distance_cap: int = DEFAULT_DISTANCE_CAP,
+    factory_bounds: SearchBounds = SearchBounds(),
 ) -> PhysicalEstimate:
     """Estimate physical resources for one schedule-stretch factor.
 
@@ -159,9 +159,9 @@ def frontier(
     requirements: LogicalRequirements,
     c_factors: tuple[float, ...],
     *,
-    codes: tuple[QecCodeModel, ...] | None = None,
-    distance_cap: int | None = None,
-    factory_bounds: SearchBounds | None = None,
+    codes: tuple[QecCodeModel, ...] = BUILTIN_CODES,
+    distance_cap: int = DEFAULT_DISTANCE_CAP,
+    factory_bounds: SearchBounds = SearchBounds(),
 ) -> tuple[PhysicalEstimate, ...]:
     """Sweep the space-time tradeoff over several stretch factors, sorted by
     step count."""

@@ -21,7 +21,7 @@ import reprlib
 from typing import Any, NamedTuple, NoReturn
 
 from .bounds import BOUNDS, check
-from .codes import BUILTIN_CODES, QecCodeModel
+from .codes import BUILTIN_CODES, DEFAULT_DISTANCE_CAP, QecCodeModel
 from .counting import (
     AlgorithmCounts,
     BudgetSplit,
@@ -78,16 +78,6 @@ _DURATION = _object(
 )
 # The fields of inline requirements; the budget split gives the rest.
 _REQUIREMENTS = ("logical_qubits", "min_time_steps", "t_states", "error_budget")
-
-# The code's nested job objects, and the QecCodeModel field of each key.
-_CODE_GROUPS = {
-    "qubits_per_tile": {
-        "quadratic": "tile_quadratic",
-        "linear": "tile_linear",
-        "constant": "tile_constant",
-    },
-    "step_time": {"gate_factor": "step_gate_factor", "meas_factor": "step_meas_factor"},
-}
 _CODE_NUMBERS = _numbers(QecCodeModel)
 
 _SCHEMA = _object(
@@ -169,7 +159,7 @@ _SCHEMA = _object(
                     "threshold": _CODE_NUMBERS["threshold"],
                     **{
                         group: _object({key: _CODE_NUMBERS[field] for key, field in fields.items()})
-                        for group, fields in _CODE_GROUPS.items()
+                        for group, fields in QecCodeModel.job_groups.items()
                     },
                 },
                 "name",
@@ -197,9 +187,9 @@ class JobSpec(NamedTuple):
     notes: tuple[str, ...]
     c_factor: float
     frontier_factors: tuple[float, ...] | None
-    distance_cap: int | None
-    factory_bounds: SearchBounds | None
-    codes: tuple[QecCodeModel, ...] | None
+    distance_cap: int
+    factory_bounds: SearchBounds
+    codes: tuple[QecCodeModel, ...]
     echo: Any
 
 
@@ -283,9 +273,10 @@ def _qubit(spec: dict) -> PhysicalQubitParams:
 def _code(spec: dict) -> QecCodeModel:
     """Flatten a code's nested job objects into its fields; left-out
     coefficients and factors are zero."""
-    fields = {key: value for key, value in spec.items() if key not in _CODE_GROUPS}
+    groups = QecCodeModel.job_groups
+    fields = {key: value for key, value in spec.items() if key not in groups}
     fields["instruction_set"] = InstructionSet(spec["instruction_set"])
-    for group, names in _CODE_GROUPS.items():
+    for group, names in groups.items():
         given = spec.get(group, {})
         fields.update({field: given.get(key, 0) for key, field in names.items()})
     return QecCodeModel(**fields)
@@ -305,7 +296,7 @@ _NO_COUNTS = dict.fromkeys(AlgorithmCounts._fields, 0)
 
 def _resolve_application(
     spec: Any,
-    split: BudgetSplit | None,
+    split: BudgetSplit,
     synthesis: SynthesisModel,
 ) -> tuple[LogicalRequirements, tuple[str, ...]]:
     if isinstance(spec, str):
@@ -316,7 +307,7 @@ def _resolve_application(
         return _at("/application/counts", logical_counts, counts, split, synthesis), ()
     if "requirements" in spec:
         raw = spec["requirements"]
-        parts = (split if split is not None else BudgetSplit()).parts(raw["error_budget"])
+        parts = split.parts(raw["error_budget"])
         return _at("/application/requirements", LogicalRequirements, **raw, **parts), ()
     raw = spec["ising"]
     if math.isqrt(raw["N"]) ** 2 != raw["N"]:
@@ -326,12 +317,12 @@ def _resolve_application(
     return _at("/application/ising", logical_counts, counts, split, synthesis), ()
 
 
-def _resolve_distance_cap(overrides: dict) -> int | None:
+def _resolve_distance_cap(overrides: dict) -> int:
     if "max_code_distance" in overrides:
         return overrides["max_code_distance"]
     raw = os.environ.get(DISTANCE_CAP_ENV)
     if raw is None:
-        return None
+        return DEFAULT_DISTANCE_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -351,20 +342,14 @@ def parse_job(obj: Any) -> JobSpec:
     # The schema pass fixed every object's keys, so they map onto fields.
     overrides = obj.get("overrides", {})
     synthesis = SynthesisModel(**overrides.get("synthesis", {}))
-
-    split = None
-    if "budget_split" in obj:
-        split = _at("/budget_split", BudgetSplit, **obj["budget_split"])
+    split = _at("/budget_split", BudgetSplit, **obj.get("budget_split", {}))
     spec = obj["qubit"]
     qubit = _at("/qubit", qubit_preset if isinstance(spec, str) else _qubit, spec)
     requirements, notes = _resolve_application(obj["application"], split, synthesis)
-    codes = None
-    if "codes" in obj:
-        extra = (_at(_pointer("codes", i), _code, code) for i, code in enumerate(obj["codes"]))
-        codes = BUILTIN_CODES + tuple(extra)
-    factory_bounds = None
-    if "factory" in overrides:
-        factory_bounds = _at("/overrides/factory", SearchBounds, **overrides["factory"])
+    codes = BUILTIN_CODES + tuple(
+        _at(_pointer("codes", i), _code, code) for i, code in enumerate(obj.get("codes", ()))
+    )
+    factory_bounds = _at("/overrides/factory", SearchBounds, **overrides.get("factory", {}))
 
     frontier_factors = None
     if "frontier_factors" in obj:

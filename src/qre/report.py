@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 from ._version import __version__
 from .display import format_duration, format_percent, format_qubit_count
 from .errors import ParameterError
-from .estimator import F_ACCOUNTING, PhysicalEstimate, estimate, frontier
+from .estimator import F_ACCOUNTING, PhysicalEstimate, frontier
 from .jobs import JobSpec
 
 _FORMATS = ("json", "md", "csv")
@@ -40,16 +40,15 @@ class Report(NamedTuple):
 
 
 def run(job: JobSpec) -> Report:
-    """Execute a job: a single estimate, or a frontier sweep if requested."""
-    kwargs = dict(
+    """Execute a job: its frontier sweep, or one estimate at its ``c_factor``."""
+    estimates = frontier(
+        job.qubit,
+        job.requirements,
+        job.frontier_factors or (job.c_factor,),
         codes=job.codes,
         distance_cap=job.distance_cap,
         factory_bounds=job.factory_bounds,
     )
-    if job.frontier_factors is not None:
-        estimates = frontier(job.qubit, job.requirements, job.frontier_factors, **kwargs)
-    else:
-        estimates = (estimate(job.qubit, job.requirements, job.c_factor, **kwargs),)
     return Report(
         version=__version__,
         job=job.echo,
@@ -130,7 +129,7 @@ def _render_md(report: Report) -> str:
         lines.append(
             "| {} | {} | {} | {} | {} | {} | {} |".format(
                 format_c_factor(e.c_factor),
-                e.code.name,
+                e.code.name.replace("|", r"\|"),
                 e.distance,
                 e.factory_count,
                 format_percent(e.factory_fraction),

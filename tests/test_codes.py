@@ -153,9 +153,10 @@ def test_select_code_above_threshold_everywhere():
 
 
 class TestCustomCodeValidation:
-    def test_round_trip(self):
-        job = {"qubit": "ns-e4", "application": "dynamics", "codes": [SURFACE_GATE.to_json()]}
-        assert parse_job(job).codes[-1] == SURFACE_GATE
+    @pytest.mark.parametrize("code", BUILTIN_CODES, ids=lambda code: code.name)
+    def test_round_trip(self, code):
+        job = {"qubit": "ns-e4", "application": "dynamics", "codes": [code.to_json()]}
+        assert parse_job(job).codes[-1] == code
 
     def test_zero_step_time_rejected(self):
         with pytest.raises(ParameterError, match="step time"):

@@ -14,6 +14,7 @@ from qre import (
     application_preset_names,
     ising_counts,
     logical_counts,
+    parse_job,
     rotation_t_count,
 )
 
@@ -151,7 +152,14 @@ class TestPresets:
         assert reqs.min_time_steps == 1.5e5
         assert reqs.t_states == 2.4e6
         assert reqs.max_t_state_error == pytest.approx(1.38889e-10, rel=1e-4)
+        assert reqs == preset.requirements
         assert preset.notes
+
+    @pytest.mark.parametrize("name", ["chemistry", "factoring"])
+    def test_counts_round_trip(self, name):
+        preset = application_preset(name)
+        job = parse_job({"qubit": "ns-e4", "application": {"counts": preset.counts.to_json()}})
+        assert job.requirements == preset.resolve()
 
     def test_resplit_stored_requirements(self):
         reqs = application_preset("dynamics").resolve(BudgetSplit(0.8, 0.1, 0.1))

@@ -251,6 +251,10 @@ class TestSearch:
             SearchBounds(max_rounds=0)
         with pytest.raises(ParameterError):
             SearchBounds(min_distance=9, max_distance=5)
+        # Factory distances are odd, so a range of one even distance is empty.
+        SearchBounds(min_distance=4, max_distance=5)
+        with pytest.raises(ParameterError, match="empty factory distance range"):
+            SearchBounds(min_distance=4, max_distance=4)
 
     @pytest.mark.parametrize(
         "field, cap", [("max_rounds", 4), ("max_distance", 35), ("max_final_copies", 4)]

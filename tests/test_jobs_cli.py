@@ -259,6 +259,22 @@ class TestCli:
         assert "| 1 | surface-gate | 7 | 0 | 0% | 4900 | 280 ms |" in out["md"].splitlines()
         assert out["csv"].splitlines()[1] == "1,surface-gate,7,100000,280000000,4900,0,0,0.0"
 
+    def test_markdown_escapes_a_pipe_in_a_code_name(self, tmp_path, capsys):
+        """A custom code named ``a|b`` fills one md cell, as ``a\\|b``."""
+        code = {
+            "name": "a|b",
+            "instruction_set": "gate-based",
+            "error_prefactor": 0.03,
+            "threshold": 0.01,
+            "qubits_per_tile": {"quadratic": 1},
+            "step_time": {"gate_factor": 1, "meas_factor": 1},
+        }
+        path = _write(tmp_path, _job(codes=[code]))
+        assert main(["estimate", "--job", path, "--format", "md"]) == 0
+        header, _, row = capsys.readouterr().out.splitlines()[:3]
+        assert row.startswith("| 1 | a\\|b | ")
+        assert row.replace("\\|", "").count("|") == header.count("|")
+
     def test_frontier_needs_factors(self, factoring_job, capsys):
         assert main(["frontier", "--job", factoring_job]) == 2
         assert "frontier needs --factors" in capsys.readouterr().err
@@ -409,6 +425,10 @@ class TestHostileInput:
                 _job(overrides={"factory": {"max_final_copies": 100}}),
                 "/overrides/factory/max_final_copies",
             ),
+            (
+                _job(overrides={"factory": {"min_distance": 4, "max_distance": 4}}),
+                "/overrides/factory",
+            ),
         ],
         ids=[
             "huge-float-sites",
@@ -419,10 +439,12 @@ class TestHostileInput:
             "rounds-over-cap",
             "distance-over-cap",
             "copies-over-cap",
+            "even-only-distances",
         ],
     )
     def test_cli_rejects_at_pointer(self, tmp_path, capsys, obj, pointer):
-        """Integers must be JSON integers, and the factory search is capped."""
+        """Integers must be JSON integers, and the factory search is capped and
+        holds at least one (odd) distance."""
         assert main(["estimate", "--job", _write(tmp_path, obj)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.endswith(f"(at {pointer})\n")

@@ -100,8 +100,9 @@ _MAJORANA = {"instruction_set": "majorana", "p_clifford": 1e-4, "p_t": 0.05}
 class TestJsonRoundTrip:
     """Inline job qubits, with durations in any unit, built through parse_job."""
 
-    def test_round_trip(self):
-        q = qubit_preset("ns-e4")
+    @pytest.mark.parametrize("name", qubit_preset_names())
+    def test_round_trip(self, name):
+        q = qubit_preset(name)
         assert _inline(q.to_json()) == q
 
     def test_microsecond_conversion(self):

@@ -245,8 +245,8 @@ def test_search_matches_streamed_staircase_at_caps():
 
 @st.composite
 def _custom_search(draw):
-    """A valid qubit and code, with small bounds. Every value is drawn
-    before anything is built, so an invalid pair only rejects the example."""
+    """A valid qubit, code and small search bounds. Every value is drawn
+    before anything is built, so an invalid draw only rejects the example."""
     majorana = draw(st.booleans())
     instruction_set = InstructionSet.MAJORANA if majorana else InstructionSet.GATE_BASED
     p_clifford = 10 ** draw(st.floats(-6.0, -3.0))
@@ -270,14 +270,18 @@ def _custom_search(draw):
         step_meas_factor=draw(st.integers(0, 20)),
     )
     min_distance = draw(st.sampled_from((3, 4, 5, 7)))
-    bounds = SearchBounds(
+    bounds_fields = dict(
         max_rounds=draw(st.integers(1, 3)),
         min_distance=min_distance,
         max_distance=draw(st.integers(min_distance, 13)),
         max_final_copies=draw(st.integers(1, 3)),
     )
     try:
-        return PhysicalQubitParams(**qubit_fields), QecCodeModel(**code_fields), bounds
+        return (
+            PhysicalQubitParams(**qubit_fields),
+            QecCodeModel(**code_fields),
+            SearchBounds(**bounds_fields),
+        )
     except ParameterError:
         assume(False)
 
