@@ -1,16 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for domain errors (infeasible targets, bad
-parameters), 2 for invalid job input.
+parameters) or a closed stdout, 2 for invalid job input.
 """
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, NoReturn
 
 from ._version import __version__
-from .bounds import BOUNDS
 from .codes import BUILTIN_CODES
 from .counting import application_preset, application_preset_names
 from .errors import EstimatorError, SchemaError
@@ -67,15 +67,26 @@ def _load_job_file(path: str) -> Any:
         raise SchemaError("job file nests too deeply to parse") from None
 
 
-def _parse_factors(text: str) -> tuple[float, ...]:
-    try:
-        factors = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise SchemaError(f"--factors must be comma-separated numbers, got {text!r}") from None
-    lo, hi = BOUNDS["stretch"]
-    if not all(lo <= f <= hi for f in factors):
-        raise SchemaError(f"--factors must be finite numbers in [{lo:g}, {hi:g}], got {text!r}")
-    return factors
+def _load_job(args: argparse.Namespace) -> Any:
+    """The job file's JSON with ``--factors`` and ``QRE_DMAX`` written in, for
+    the schema to check and the report to echo. Only objects are written to."""
+    obj = _load_job_file(args.job)
+    if not isinstance(obj, dict):
+        return obj
+    text = getattr(args, "factors", None)
+    if text is not None:
+        try:
+            obj["frontier_factors"] = [float(part) for part in text.split(",")]
+        except ValueError:
+            raise SchemaError(f"--factors must be comma-separated numbers, got {text!r}") from None
+    overrides = obj.get("overrides", {})
+    raw = os.environ.get("QRE_DMAX")
+    if raw is not None and isinstance(overrides, dict) and "max_code_distance" not in overrides:
+        try:
+            obj["overrides"] = {**overrides, "max_code_distance": int(raw)}
+        except ValueError:
+            raise SchemaError(f"QRE_DMAX must be an integer, got {raw!r}") from None
+    return obj
 
 
 def _describe_qubit(name: str) -> str:
@@ -105,7 +116,7 @@ def _cmd_presets(kind: str | None) -> int:
             f"  {code.name:<14} {code.instruction_set.value}" for code in BUILTIN_CODES
         ]
         sections.append("codes:\n" + "\n".join(lines))
-    print("\n\n".join(sections))
+    print("\n\n".join(sections), flush=True)
     return 0
 
 
@@ -113,18 +124,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "presets":
         return _cmd_presets(args.kind)
 
-    job = parse_job(_load_job_file(args.job))
+    job = parse_job(_load_job(args))
     if args.command == "validate":
-        print("ok")
+        print("ok", flush=True)
         return 0
-    if args.command == "frontier":
-        if args.factors is not None:
-            job = job._replace(frontier_factors=_parse_factors(args.factors))
-        elif job.frontier_factors is None:
-            raise SchemaError(
-                "frontier needs --factors or frontier_factors in the job"
-            )
-    print(render(run(job), args.format))
+    if args.command == "frontier" and job.frontier_factors is None:
+        raise SchemaError("frontier needs --factors or frontier_factors in the job")
+    print(render(run(job), args.format), flush=True)
     return 0
 
 
@@ -132,6 +138,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except BrokenPipeError:
+        # The reader left: send the rest to devnull, so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

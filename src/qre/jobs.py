@@ -16,11 +16,10 @@ the offending node.
 
 import copy
 import math
-import os
 import reprlib
 from typing import Any, NamedTuple, NoReturn
 
-from .bounds import BOUNDS, check
+from .bounds import BOUNDS
 from .codes import BUILTIN_CODES, DEFAULT_DISTANCE_CAP, QecCodeModel
 from .counting import (
     AlgorithmCounts,
@@ -35,7 +34,6 @@ from .distillation import SearchBounds
 from .errors import ParameterError, SchemaError, UnknownPresetError
 from .qubits import InstructionSet, PhysicalQubitParams, qubit_preset
 
-DISTANCE_CAP_ENV = "QRE_DMAX"
 NS_PER_UNIT = {"ns": 1, "us": 1_000, "ms": 1_000_000}
 
 
@@ -317,22 +315,9 @@ def _resolve_application(
     return _at("/application/ising", logical_counts, counts, split, synthesis), ()
 
 
-def _resolve_distance_cap(overrides: dict) -> int:
-    if "max_code_distance" in overrides:
-        return overrides["max_code_distance"]
-    raw = os.environ.get(DISTANCE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DISTANCE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParameterError(f"{DISTANCE_CAP_ENV} must be an integer, got {raw!r}") from None
-    check("code_distance", cap, DISTANCE_CAP_ENV)
-    return cap
-
-
 def parse_job(obj: Any) -> JobSpec:
-    """Validate a job object and resolve every reference in it.
+    """Validate a job object and resolve every reference in it. The result
+    depends on ``obj`` alone: nothing is read from the environment.
 
     Raises :class:`SchemaError` for anything a user could write wrong, with
     a JSON pointer locating the problem.
@@ -361,7 +346,7 @@ def parse_job(obj: Any) -> JobSpec:
         notes=notes,
         c_factor=float(obj.get("c_factor", 1.0)),
         frontier_factors=frontier_factors,
-        distance_cap=_resolve_distance_cap(overrides),
+        distance_cap=overrides.get("max_code_distance", DEFAULT_DISTANCE_CAP),
         factory_bounds=factory_bounds,
         codes=codes,
         echo=copy.deepcopy(obj),

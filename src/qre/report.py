@@ -129,7 +129,7 @@ def _render_md(report: Report) -> str:
         lines.append(
             "| {} | {} | {} | {} | {} | {} | {} |".format(
                 format_c_factor(e.c_factor),
-                e.code.name.replace("|", r"\|"),
+                e.code.name.replace("|", r"\|").replace("\r", " ").replace("\n", " "),
                 e.distance,
                 e.factory_count,
                 format_percent(e.factory_fraction),

@@ -411,15 +411,19 @@ def test_in_bound_counts_give_in_bound_requirements():
             estimate(qubit_preset(name), reqs, BOUNDS["stretch"][1])
 
 
-def test_distance_cap_env_is_checked_against_the_table(monkeypatch):
+def test_distance_cap_env_is_checked_against_the_table(tmp_path, monkeypatch, capsys):
+    """The CLI writes ``QRE_DMAX`` into the job, where the schema checks it."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"qubit": "ns-e4", "application": "dynamics"}))
     lo, hi = BOUNDS["code_distance"]
     for value in (hi, lo):
         monkeypatch.setenv("QRE_DMAX", str(value))
-        assert parse_job({"qubit": "ns-e4", "application": "dynamics"}).distance_cap == value
+        assert main(["validate", "--job", str(path)]) == 0
     for value in (hi + 1, lo - 1, 10**400):
         monkeypatch.setenv("QRE_DMAX", str(value))
-        with pytest.raises(ParameterError, match="QRE_DMAX"):
-            parse_job({"qubit": "ns-e4", "application": "dynamics"})
+        assert main(["validate", "--job", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("(at /overrides/max_code_distance)\n")
 
 
 def test_distance_cap_leaves_factory_distances_alone():
@@ -448,7 +452,6 @@ def test_warm_preset_op_makes_few_checks(monkeypatch):
     """A warm preset op (parse, run, render) makes at most 11.0 ``check``
     calls on average (9.33 measured): an all-defaults parameter object is
     shared, not rebuilt and checked again."""
-    monkeypatch.delenv("QRE_DMAX", raising=False)
     jobs = [
         {"qubit": qubit, "application": app, "c_factor": c_factor}
         for qubit in qubit_preset_names()

@@ -10,13 +10,13 @@ import pytest
 
 from qre import (
     DistanceCapError,
-    ParameterError,
     SchemaError,
     SynthesisModel,
     application_preset,
     ising_counts,
     logical_counts,
     parse_job,
+    render,
     run,
 )
 import qre
@@ -172,19 +172,35 @@ class TestSchemaDiagnostics:
 
 
 class TestDistanceCap:
-    def test_override_beats_environment(self, monkeypatch):
+    def test_override_beats_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QRE_DMAX", "41")
-        job = parse_job(_job(overrides={"max_code_distance": 9}))
-        assert job.distance_cap == 9
+        path = _write(tmp_path, _job(overrides={"max_code_distance": 9}))
+        assert main(["estimate", "--job", path]) == 0
+        assert json.loads(capsys.readouterr().out)["job"]["overrides"] == {"max_code_distance": 9}
 
-    def test_environment_cap(self, monkeypatch):
+    def test_environment_cap(self, tmp_path, capsys, monkeypatch):
+        """``QRE_DMAX`` is written into the job, so the report echoes it and
+        the run keeps to it."""
         monkeypatch.setenv("QRE_DMAX", "41")
-        assert parse_job(_job()).distance_cap == 41
+        assert main(["estimate", "--job", _write(tmp_path, _job())]) == 0
+        assert json.loads(capsys.readouterr().out)["job"]["overrides"] == {"max_code_distance": 41}
+        monkeypatch.setenv("QRE_DMAX", "5")
+        path = _write(tmp_path, {"qubit": "us-e3", "application": "dynamics"})
+        assert main(["estimate", "--job", path]) == 1
+        assert "distance" in capsys.readouterr().err
 
-    def test_bad_environment_value(self, monkeypatch):
-        monkeypatch.setenv("QRE_DMAX", "tiny")
-        with pytest.raises(ParameterError, match="QRE_DMAX"):
-            parse_job(_job())
+    def test_bad_environment_value(self, tmp_path, capsys, monkeypatch):
+        path = _write(tmp_path, _job())
+        for value in ("tiny", "4.5", ""):
+            monkeypatch.setenv("QRE_DMAX", value)
+            assert main(["estimate", "--job", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: QRE_DMAX") and err.count("\n") == 1
+
+    def test_parse_job_reads_no_environment(self, monkeypatch):
+        expected = render(run(parse_job(_job())), "json")
+        monkeypatch.setenv("QRE_DMAX", "3")
+        assert render(run(parse_job(_job())), "json") == expected
 
     def test_cap_can_block_a_run(self):
         job = parse_job({"qubit": "us-e3", "application": "dynamics",
@@ -260,24 +276,49 @@ class TestCli:
         assert out["csv"].splitlines()[1] == "1,surface-gate,7,100000,280000000,4900,0,0,0.0"
 
     def test_markdown_escapes_a_pipe_in_a_code_name(self, tmp_path, capsys):
-        """A custom code named ``a|b`` fills one md cell, as ``a\\|b``."""
-        code = {
-            "name": "a|b",
-            "instruction_set": "gate-based",
-            "error_prefactor": 0.03,
-            "threshold": 0.01,
-            "qubits_per_tile": {"quadratic": 1},
-            "step_time": {"gate_factor": 1, "meas_factor": 1},
-        }
-        path = _write(tmp_path, _job(codes=[code]))
-        assert main(["estimate", "--job", path, "--format", "md"]) == 0
-        header, _, row = capsys.readouterr().out.splitlines()[:3]
-        assert row.startswith("| 1 | a\\|b | ")
-        assert row.replace("\\|", "").count("|") == header.count("|")
+        """A custom code named ``a|b`` fills one md cell, as ``a\\|b``; a line
+        break in a name is a space."""
+        for name, cell in (("a|b", "a\\|b"), ("a\nb", "a b"), ("a\r\nb", "a  b")):
+            code = {
+                "name": name,
+                "instruction_set": "gate-based",
+                "error_prefactor": 0.03,
+                "threshold": 0.01,
+                "qubits_per_tile": {"quadratic": 1},
+                "step_time": {"gate_factor": 1, "meas_factor": 1},
+            }
+            path = _write(tmp_path, _job(codes=[code]))
+            assert main(["estimate", "--job", path, "--format", "md"]) == 0
+            header, _, row, blank = capsys.readouterr().out.splitlines()[:4]
+            assert row.startswith(f"| 1 | {cell} | ") and blank == ""
+            assert row.replace("\\|", "").count("|") == header.count("|")
 
     def test_frontier_needs_factors(self, factoring_job, capsys):
         assert main(["frontier", "--job", factoring_job]) == 2
         assert "frontier needs --factors" in capsys.readouterr().err
+
+    def test_factor_flag_replaces_the_job_list(self, tmp_path, capsys):
+        """``--factors`` is written into the job, so the report echoes what ran."""
+        path = _write(tmp_path, _job(frontier_factors=[4]))
+        assert main(["frontier", "--job", path, "--factors", "1,2", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert '"frontier_factors": [\n      1.0,\n      2.0\n    ]' in out
+        assert [e["c_factor"] for e in json.loads(out)["estimates"]] == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [(["frontier", "--factors", "1,2"], {}), (["estimate"], {"QRE_DMAX": "41"})],
+        ids=["factors", "environment"],
+    )
+    def test_extra_inputs_leave_a_non_object_job_to_the_schema(
+        self, tmp_path, capsys, monkeypatch, argv, env
+    ):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        for obj in ([1, 2], "job", None):
+            assert main([*argv, "--job", _write(tmp_path, obj)]) == 2
+            err = capsys.readouterr().err
+            assert err.endswith("(at /)\n") and err.count("\n") == 1
 
     def test_empty_factor_list_in_job(self, tmp_path, capsys):
         path = _write(
@@ -450,12 +491,16 @@ class TestHostileInput:
         assert err.startswith("error:") and err.endswith(f"(at {pointer})\n")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("factors, expected", [("1e308", 2), ("1,inf", 2), ("nan", 2)])
+    @pytest.mark.parametrize(
+        "factors, expected", [("1e308", 2), ("1,inf", 2), ("nan", 2), ("0.5", 2)]
+    )
     def test_cli_factor_flag(self, tmp_path, capsys, factors, expected):
+        """The schema checks ``--factors``; the last factor is the bad one."""
         path = _write(tmp_path, _job())
         assert main(["frontier", "--job", path, "--factors", factors]) == expected
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert err.endswith(f"(at /frontier_factors/{factors.count(',')})\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -533,6 +578,35 @@ def test_cli_import_needs_no_scipy_or_numpy():
         check=True,
     )
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["presets"], ["estimate", "--job"], ["estimate", "--format", "md", "--job"],
+     ["frontier", "--factors", "1,2", "--job"]],
+    ids=["presets", "json", "md", "csv"],
+)
+def test_closed_stdout_ends_without_traceback(tmp_path, argv):
+    """A reader that leaves early (``qre ... | head``) gets exit 1 and no
+    traceback, nor a failed flush at exit. Stdout is buffered, as by default."""
+    if argv[-1] == "--job":
+        argv = [*argv, _write(tmp_path, _job())]
+    src = str(Path(qre.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "qre.cli", *argv],
+            env={**env, "PYTHONPATH": path},
+            stdout=write,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_traced_cli_records_every_layer(tmp_path):
