@@ -17,8 +17,6 @@ from .codes import (
     SURFACE_MEAS,
     LogicalPatch,
     QecCodeModel,
-    code_preset,
-    code_preset_names,
     patch,
     required_distance,
     select_code,
@@ -110,8 +108,6 @@ __all__ = [
     "ValidityRangeError",
     "application_preset",
     "application_preset_names",
-    "code_preset",
-    "code_preset_names",
     "estimate",
     "evaluate_factory",
     "frontier",

@@ -58,16 +58,16 @@ def checked(cls):
     """Make the NamedTuple class ``cls`` check every instance it builds: through
     the constructor, through ``_make`` and so through ``_replace``.
 
-    Each field named in ``cls.field_bounds``, a ``{field: kind}`` map, is
-    checked against ``BOUNDS[kind]`` unless it is None. Then ``cls._check()``,
-    where defined, checks the rules that span fields. When every field has a
-    default, the all-defaults instance is built and checked once, and a call
-    with no arguments returns it.
+    Each field named in ``cls.field_bounds``, a ``{field: kind}`` map where
+    defined, is checked against ``BOUNDS[kind]`` unless it is None. Then
+    ``cls._check()``, where defined, checks the rules that span fields. When
+    every field has a default, the all-defaults instance is built and checked
+    once, and a call with no arguments returns it.
     """
     new, make = cls.__new__, cls._make.__func__
     fields = [
         (cls._fields.index(field), kind, f"{cls.__name__}.{field}")
-        for field, kind in cls.field_bounds.items()
+        for field, kind in getattr(cls, "field_bounds", {}).items()
     ]
     rules = getattr(cls, "_check", None)
 

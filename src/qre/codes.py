@@ -17,12 +17,7 @@ import math
 from typing import NamedTuple
 
 from .bounds import checked
-from .errors import (
-    AboveThresholdError,
-    DistanceCapError,
-    ParameterError,
-    UnknownPresetError,
-)
+from .errors import AboveThresholdError, DistanceCapError, ParameterError
 from .qubits import InstructionSet, PhysicalQubitParams
 
 DEFAULT_DISTANCE_CAP = 51
@@ -171,23 +166,22 @@ HASTINGS_HAAH = QecCodeModel(
 BUILTIN_CODES: tuple[QecCodeModel, ...] = (SURFACE_GATE, SURFACE_MEAS, HASTINGS_HAAH)
 
 
-def code_preset_names() -> tuple[str, ...]:
-    return tuple(c.name for c in BUILTIN_CODES)
-
-
-def code_preset(name: str) -> QecCodeModel:
-    for code in BUILTIN_CODES:
-        if code.name == name:
-            return code
-    raise UnknownPresetError("code", name, code_preset_names())
-
-
+@checked
 class LogicalPatch(NamedTuple):
-    """One logical qubit: a code instantiated at a distance on a hardware model."""
+    """One logical qubit: a code instantiated at a distance on a hardware model.
+
+    Construction raises when the distance is even or below 3, the
+    instruction sets do not match, or the qubit is above the code threshold.
+    """
 
     code: QecCodeModel
     qubit: PhysicalQubitParams
     distance: int
+
+    def _check(self) -> None:
+        if self.distance < 3 or self.distance % 2 == 0:
+            raise ParameterError(f"distance must be an odd integer >= 3, got {self.distance}")
+        self.code._suppression_base(self.qubit)
 
     @property
     def tile_qubits(self) -> int:
@@ -202,17 +196,7 @@ class LogicalPatch(NamedTuple):
         return self.code.logical_error(self.qubit, self.distance)
 
 
-def patch(code: QecCodeModel, qubit: PhysicalQubitParams, distance: int) -> LogicalPatch:
-    """Build a validated logical patch.
-
-    Raises when the distance is even or below 3, the instruction sets do not
-    match, or the qubit is above the code threshold.
-    """
-    if distance < 3 or distance % 2 == 0:
-        raise ParameterError(f"distance must be an odd integer >= 3, got {distance}")
-    built = LogicalPatch(code=code, qubit=qubit, distance=distance)
-    built.logical_error  # noqa: B018  (forces threshold/compatibility checks)
-    return built
+patch = LogicalPatch
 
 
 def required_distance(

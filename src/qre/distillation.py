@@ -26,9 +26,8 @@ from itertools import count, product
 from math import inf, isqrt
 from typing import NamedTuple, Sequence
 
-from .bounds import BOUNDS, checked
+from .bounds import checked
 from .codes import LogicalPatch, QecCodeModel
-from .codes import patch as make_patch
 from .errors import (
     FactoryOutputError,
     NoFactoryError,
@@ -40,13 +39,6 @@ from .qubits import InstructionSet, PhysicalQubitParams
 ACCOUNTING_CONFIDENCE = 0.99
 
 _PROVISION_LIMIT = 10**9
-
-# Largest factory search bounds accepted.
-SEARCH_CAPS = {
-    "max_rounds": BOUNDS["max_rounds"][1],
-    "max_distance": BOUNDS["factory_distance"][1],
-    "max_final_copies": BOUNDS["max_final_copies"][1],
-}
 
 
 class UnitKind(enum.Enum):
@@ -91,6 +83,19 @@ def unit_output_error(input_error: float, clifford_error: float) -> tuple[float,
         )
     output = 35.0 * input_error**3 + 7.1 * clifford_error
     return output, acceptance
+
+
+def _extend(
+    chain: tuple[float, tuple[float, ...]], clifford_errors: Sequence[float]
+) -> tuple[float, tuple[float, ...]]:
+    """Run ``(output error, round acceptances)`` through one more unit per
+    Clifford error; raises :class:`ValidityRangeError` outside the formula's
+    validity range."""
+    error, acceptances = chain
+    for clifford_error in clifford_errors:
+        error, acceptance = unit_output_error(error, clifford_error)
+        acceptances += (acceptance,)
+    return error, acceptances
 
 
 # Cache bounds: under the default search bounds the preset jobs fill 6 sweeps,
@@ -172,35 +177,21 @@ class DistillationUnitSpec(NamedTuple):
     def distance(self) -> int | None:
         return None if self.patch is None else self.patch.distance
 
-    def qubit_cost(self) -> int:
-        factor = _UNIT_COSTS[(self.kind, self.level)][0]
-        if self.patch is None:
-            return factor
-        return factor * self.patch.tile_qubits
-
-    def duration(self, qubit: PhysicalQubitParams) -> int:
-        """Wall-clock time of one unit, in nanoseconds."""
-        self._check_host(qubit)
-        factor = _UNIT_COSTS[(self.kind, self.level)][1]
-        if self.patch is None:
-            return factor * qubit.t_meas
-        return factor * self.patch.step_time
-
-    def clifford_error(self, qubit: PhysicalQubitParams) -> float:
-        """Error rate of the Clifford operations inside the unit."""
-        self._check_host(qubit)
-        if self.patch is None:
-            return qubit.p_clifford
-        return self.patch.logical_error
-
-    def _check_host(self, qubit: PhysicalQubitParams) -> None:
-        if self.patch is None:
+    def costs(self, qubit: PhysicalQubitParams) -> tuple[int, int, float]:
+        """``(qubits, duration_ns, clifford_error)`` of one unit on ``qubit``:
+        its footprint, its wall-clock time and the error rate of the Clifford
+        operations inside it. Raises unless ``qubit`` can host the unit."""
+        qubit_factor, time_factor = _UNIT_COSTS[(self.kind, self.level)]
+        patch = self.patch
+        if patch is None:
             if qubit.instruction_set is not InstructionSet.MAJORANA:
                 raise ParameterError(
                     "physical-level distillation requires a Majorana instruction set"
                 )
-        elif self.patch.qubit != qubit:
+            return qubit_factor, time_factor * qubit.t_meas, qubit.p_clifford
+        if patch.qubit != qubit:
             raise ParameterError("unit patch was built for a different qubit model")
+        return qubit_factor * patch.tile_qubits, time_factor * patch.step_time, patch.logical_error
 
 
 class TFactoryRound(NamedTuple):
@@ -240,6 +231,7 @@ def evaluate_factory(
         raise ParameterError("a factory needs at least one distillation round")
     codes_seen: set[QecCodeModel] = set()
     last_distance = 0
+    costs = []
     for index, rnd in enumerate(rounds):
         if rnd.copies < 1:
             raise ParameterError(f"round {index + 1}: copies must be at least 1")
@@ -256,15 +248,12 @@ def evaluate_factory(
                     "distances must be non-decreasing across logical rounds"
                 )
             last_distance = unit.patch.distance
-        unit._check_host(qubit)
+        costs.append(unit.costs(qubit))
     if len(codes_seen) > 1:
         raise ParameterError("factory patches must share one code model")
 
-    output_error = qubit.p_t
-    acceptances: list[float] = []
-    for rnd in rounds:
-        output_error, acceptance = unit_output_error(output_error, rnd.unit.clifford_error(qubit))
-        acceptances.append(acceptance)
+    qubits, durations, clifford_errors = zip(*costs)
+    output_error, acceptances = _extend((qubit.p_t, ()), clifford_errors)
     for index in range(len(rounds) - 1):
         needed = provisioned_copies(15 * rounds[index + 1].copies, acceptances[index])
         if rounds[index].copies < needed:
@@ -277,11 +266,11 @@ def evaluate_factory(
         raise FactoryOutputError("factory produces no reliable output")
     return TFactory(
         rounds=rounds,
-        qubit_count=max(r.copies * r.unit.qubit_cost() for r in rounds),
-        duration=sum(r.unit.duration(qubit) for r in rounds),
+        qubit_count=max(r.copies * n for r, n in zip(rounds, qubits)),
+        duration=sum(durations),
         output_error=output_error,
         output_count=output_count,
-        acceptance_probabilities=tuple(acceptances),
+        acceptance_probabilities=acceptances,
     )
 
 
@@ -291,7 +280,7 @@ class SearchBounds(NamedTuple):
 
     Logical distances run over odd values in ``[min_distance,
     max_distance]``; the final round tries up to ``max_final_copies``
-    parallel units. Construction rejects bounds above ``SEARCH_CAPS``.
+    parallel units. Construction rejects bounds above their ``BOUNDS`` maxima.
     """
 
     max_rounds: int = 3
@@ -362,9 +351,9 @@ class _Sweep:
 
         def unit(kind: UnitKind, patch: LogicalPatch | None = None) -> _Unit:
             spec = DistillationUnitSpec(kind=kind, patch=patch)
-            return _Unit(spec, spec.qubit_cost(), spec.duration(qubit), spec.clifford_error(qubit))
+            return _Unit(spec, *spec.costs(qubit))
 
-        patches = {d: make_patch(code, qubit, d) for d in distances}
+        patches = {d: LogicalPatch(code, qubit, d) for d in distances}
         logical = {k: {d: unit(k, patches[d]) for d in distances} for k in UnitKind}
         firsts: list[_Unit | None] = [None]
         if qubit.instruction_set is InstructionSet.MAJORANA:
@@ -403,14 +392,12 @@ class _Sweep:
             prefix, tables = self._shapes[shape]
             if distances:
                 chain = self._chain(shape, distances[:-1])
-                units = (tables[len(distances) - 1][distances[-1]],)
+                cliffords = (tables[len(distances) - 1][distances[-1]].clifford_error,)
             else:
-                chain, units = (self.qubit.p_t, ()), prefix
+                chain, cliffords = (self.qubit.p_t, ()), [u.clifford_error for u in prefix]
             if chain is not None:
                 try:
-                    for u in units:
-                        error, acceptance = unit_output_error(chain[0], u.clifford_error)
-                        chain = error, chain[1] + (acceptance,)
+                    chain = _extend(chain, cliffords)
                 except ValidityRangeError:
                     chain = None
             self._chains[key] = chain
@@ -466,7 +453,7 @@ class _Sweep:
         """Advance until a member meets ``target`` or the sweep ends; a
         finished sweep keeps only its members."""
         heap = self._heap
-        while heap and self._best > target:
+        while heap and (not self.factories or self._best > target):
             entry = heappop(heap)
             try:
                 self._step(entry)

@@ -133,9 +133,9 @@ def estimate(
     if factory is None:
         factory_count = 0
     else:
-        factory_count = math.ceil(
-            requirements.t_states * factory.duration / (factory.output_count * runtime)
-        )
+        demand = requirements.t_states * factory.duration / (factory.output_count * runtime)
+        # At least one: for a tiny T-state count the demand underflows to 0.
+        factory_count = max(1, math.ceil(demand))
     physical_qubits = (
         factory_count * (0 if factory is None else factory.qubit_count)
         + requirements.logical_qubits * code.tile_qubits(distance)

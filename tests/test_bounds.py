@@ -43,7 +43,6 @@ from qre import (
 )
 from qre.bounds import BOUNDS, check
 from qre.cli import main
-from qre.distillation import SEARCH_CAPS
 from qre.jobs import _SCHEMA
 
 
@@ -64,14 +63,6 @@ def test_every_schema_number_is_bounded_from_the_table():
     for path, node in nodes:
         assert "minimum" in node and "maximum" in node, path
         assert (node["minimum"], node["maximum"]) in BOUNDS.values(), path
-
-
-def test_search_caps_come_from_the_table():
-    assert SEARCH_CAPS == {
-        "max_rounds": BOUNDS["max_rounds"][1],
-        "max_distance": BOUNDS["factory_distance"][1],
-        "max_final_copies": BOUNDS["max_final_copies"][1],
-    }
 
 
 # Where each parameter type sits in a job, and the job path of each field

@@ -10,6 +10,7 @@ from qre import (
     AboveThresholdError,
     DistanceCapError,
     InstructionSet,
+    LogicalPatch,
     ParameterError,
     PhysicalQubitParams,
     parse_job,
@@ -63,17 +64,26 @@ def test_above_threshold_raises():
     )
     with pytest.raises(AboveThresholdError, match="above threshold"):
         SURFACE_MEAS.logical_error(q, 9)
+    with pytest.raises(AboveThresholdError, match="above threshold"):
+        LogicalPatch(code=SURFACE_MEAS, qubit=q, distance=9)
 
 
 def test_instruction_set_mismatch():
     with pytest.raises(ParameterError, match="instruction set mismatch"):
         HASTINGS_HAAH.step_time(qubit_preset("ns-e4"), 5)
+    with pytest.raises(ParameterError, match="instruction set mismatch"):
+        LogicalPatch(code=HASTINGS_HAAH, qubit=qubit_preset("ns-e4"), distance=9)
 
 
 @pytest.mark.parametrize("bad", [1, 2, 8])
 def test_patch_rejects_bad_distances(bad):
+    q = qubit_preset("ns-e4")
     with pytest.raises(ParameterError, match="odd"):
-        patch(SURFACE_GATE, qubit_preset("ns-e4"), bad)
+        patch(SURFACE_GATE, q, bad)
+    with pytest.raises(ParameterError, match="odd"):
+        LogicalPatch(code=SURFACE_GATE, qubit=q, distance=bad)
+    with pytest.raises(ParameterError, match="odd"):
+        LogicalPatch(SURFACE_GATE, q, 9)._replace(distance=bad)
 
 
 class TestRequiredDistance:

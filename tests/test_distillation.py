@@ -1,5 +1,7 @@
 """Distillation units, factory evaluation, and the factory search."""
 
+import math
+
 import pytest
 
 from qre import (
@@ -22,7 +24,7 @@ from qre import (
     search_factory,
     unit_output_error,
 )
-from qre.distillation import provisioned_copies, reliable_outputs
+from qre.distillation import _sweep, provisioned_copies, reliable_outputs
 
 SE = UnitKind.SPACE_EFFICIENT
 RM = UnitKind.RM_PREP
@@ -57,32 +59,29 @@ class TestUnitCosts:
     def test_logical_space_efficient(self):
         q = qubit_preset("ns-e4")
         unit = _logical(SE, SURFACE_GATE, q, 9)
-        assert unit.qubit_cost() == 20 * 162
-        assert unit.duration(q) == 13 * 3600
+        assert unit.costs(q)[:2] == (20 * 162, 13 * 3600)
 
     def test_logical_rm_prep(self):
         q = qubit_preset("ns-e4")
         unit = _logical(RM, SURFACE_GATE, q, 13)
-        assert unit.qubit_cost() == 31 * 338
-        assert unit.duration(q) == 11 * 5200
+        assert unit.costs(q)[:2] == (31 * 338, 11 * 5200)
 
     def test_physical_units(self):
         q = qubit_preset("maj-ns-e6")
         se = DistillationUnitSpec(kind=SE)
         rm = DistillationUnitSpec(kind=RM)
-        assert (se.qubit_cost(), se.duration(q)) == (12, 4600)
-        assert (rm.qubit_cost(), rm.duration(q)) == (31, 2300)
-        assert se.clifford_error(q) == 1e-6
+        assert se.costs(q) == (12, 4600, 1e-6)
+        assert rm.costs(q)[:2] == (31, 2300)
 
     def test_physical_unit_needs_majorana(self):
         q = qubit_preset("ns-e4")
         with pytest.raises(ParameterError, match="Majorana"):
-            DistillationUnitSpec(kind=SE).duration(q)
+            DistillationUnitSpec(kind=SE).costs(q)
 
     def test_patch_qubit_mismatch(self):
         unit = _logical(SE, SURFACE_GATE, qubit_preset("ns-e4"), 9)
         with pytest.raises(ParameterError, match="different qubit"):
-            unit.duration(qubit_preset("ns-e3"))
+            unit.costs(qubit_preset("ns-e3"))
 
 
 class TestProvisioning:
@@ -245,6 +244,13 @@ class TestSearch:
     def test_target_must_be_positive(self):
         with pytest.raises(ParameterError, match="positive"):
             search_factory(qubit_preset("ns-e4"), SURFACE_GATE, 0.0)
+
+    def test_infinite_target_takes_the_cheapest_member(self):
+        # A job with a tiny T-state count gives an infinite target; it may
+        # be the fresh sweep's first query.
+        _sweep.cache_clear()
+        q = qubit_preset("ns-e4")
+        assert search_factory(q, SURFACE_GATE, math.inf) == search_factory(q, SURFACE_GATE, 1.0)
 
     def test_bounds_validation(self):
         with pytest.raises(ParameterError):

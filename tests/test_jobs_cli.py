@@ -245,6 +245,20 @@ class TestCli:
         assert "8.7M" in out
         assert "accounting" in out
 
+    @pytest.mark.parametrize("t_states", [5e-324, 1e-310, 0.5])
+    def test_few_t_states_still_get_a_factory(self, tmp_path, capsys, t_states):
+        """However few T states a job asks for, one factory serves them;
+        5e-324 makes the per-state error target overflow to infinity."""
+        requirements = {
+            "logical_qubits": 10,
+            "min_time_steps": 100,
+            "t_states": t_states,
+            "error_budget": 0.001,
+        }
+        path = _write(tmp_path, _job(application={"requirements": requirements}))
+        assert main(["estimate", "--job", path]) == 0
+        assert json.loads(capsys.readouterr().out)["estimates"][0]["factory_count"] >= 1
+
     def test_frontier_csv(self, tmp_path, capsys):
         path = _write(tmp_path, {"qubit": "ns-e4", "application": "dynamics"})
         code = main(["frontier", "--job", path, "--factors", "1,2,4,8"])

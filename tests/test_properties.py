@@ -128,9 +128,9 @@ def test_factory_accounting(name, exponent):
     target = 10.0**exponent
     factory = search_factory(qubit, code, target, _ACCOUNTING_BOUNDS)
     assert factory.output_error <= target
-    widths = [r.copies * r.unit.qubit_cost() for r in factory.rounds]
+    widths = [r.copies * r.unit.costs(qubit)[0] for r in factory.rounds]
     assert factory.qubit_count == max(widths)
-    assert factory.duration == sum(r.unit.duration(qubit) for r in factory.rounds)
+    assert factory.duration == sum(r.unit.costs(qubit)[1] for r in factory.rounds)
     assert 1 <= factory.output_count <= factory.rounds[-1].copies
     for acceptance in factory.acceptance_probabilities:
         assert 0.0 < acceptance <= 1.0

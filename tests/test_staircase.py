@@ -44,7 +44,7 @@ from qre import (
     unit_output_error,
 )
 from qre import distillation
-from qre.distillation import SEARCH_CAPS
+from qre.bounds import BOUNDS
 from threaded import threaded_frontier
 
 _PAIRS = [
@@ -73,7 +73,7 @@ def _candidates(qubit, code, bounds):
     patches = {d: patch(code, qubit, d) for d in distances}
 
     def unit(spec):
-        return spec, spec.qubit_cost(), spec.duration(qubit), spec.clifford_error(qubit)
+        return spec, *spec.costs(qubit)
 
     logical = {
         (k, d): unit(DistillationUnitSpec(kind=k, patch=patches[d]))
@@ -229,7 +229,11 @@ def test_search_matches_brute_force_scan(qubit_name, code_name, bounds):
 
 def test_search_matches_streamed_staircase_at_caps():
     qubit = qubit_preset("ns-e4")
-    bounds = SearchBounds(**SEARCH_CAPS)
+    bounds = SearchBounds(
+        max_rounds=BOUNDS["max_rounds"][1],
+        max_distance=BOUNDS["factory_distance"][1],
+        max_final_copies=BOUNDS["max_final_copies"][1],
+    )
     members = _streamed_staircase(qubit, SURFACE_GATE, bounds)
     assert _full_sweep(qubit, SURFACE_GATE, bounds) == members
     errors = [m.output_error for m in members]
