@@ -37,6 +37,7 @@ BOUNDS: dict[str, tuple[float, float]] = {
     "logical_qubits": (1, 3 * _QUBITS),
     "derived_count": (0, 1e30),
     "derived_time_steps": (1, 1e30),
+    # A budget share times a budget: the synthesis budget of rotation_t_count.
     "budget_part": (_FLOOR * _FLOOR, _BELOW_ONE),
 }
 

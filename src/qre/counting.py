@@ -44,15 +44,6 @@ class BudgetSplit(NamedTuple):
         if sum(self) > 1.0 + 1e-9:
             raise ParameterError("budget split fractions must sum to at most 1")
 
-    def parts(self, eps: float) -> dict[str, float]:
-        """Each share of the total budget ``eps``, keyed by its
-        :class:`LogicalRequirements` field."""
-        return {
-            "logical_budget": self.logical * eps,
-            "distillation_budget": self.distillation * eps,
-            "synthesis_budget": self.synthesis * eps,
-        }
-
 
 @checked
 class AlgorithmCounts(NamedTuple):
@@ -93,26 +84,31 @@ class LogicalRequirements(NamedTuple):
     """What the physical layer must deliver.
 
     ``min_time_steps`` is the logical-depth floor; running slower (a larger
-    step count) is always allowed and relaxes the per-step error target.
+    step count) is always allowed, and it tightens the per-step error target.
+    The total ``error_budget`` is divided by ``split``; each share is a
+    property, so the split is the only budget stated.
     """
 
     logical_qubits: int
     min_time_steps: float
     t_states: float
     error_budget: float
-    logical_budget: float
-    distillation_budget: float
-    synthesis_budget: float
+    split: BudgetSplit = BudgetSplit()
 
     field_bounds = {
         "logical_qubits": "logical_qubits",
         "min_time_steps": "derived_time_steps",
         "t_states": "derived_count",
         "error_budget": "error_budget",
-        **dict.fromkeys(
-            ("logical_budget", "distillation_budget", "synthesis_budget"), "budget_part"
-        ),
     }
+
+    @property
+    def logical_budget(self) -> float:
+        return self.split.logical * self.error_budget
+
+    @property
+    def distillation_budget(self) -> float:
+        return self.split.distillation * self.error_budget
 
     @property
     def max_t_state_error(self) -> float:
@@ -120,15 +116,6 @@ class LogicalRequirements(NamedTuple):
         if self.t_states <= 0:
             return math.inf
         return self.distillation_budget / self.t_states
-
-    def _check(self) -> None:
-        total = self.logical_budget + self.distillation_budget + self.synthesis_budget
-        if total > self.error_budget * (1 + 1e-9):
-            raise ParameterError("budget parts exceed the total error budget")
-
-    def with_budget_split(self, split: BudgetSplit) -> "LogicalRequirements":
-        """Re-divide the stored total budget; derived targets follow."""
-        return self._replace(**split.parts(self.error_budget))
 
 
 def rotation_t_count(
@@ -168,8 +155,9 @@ def logical_counts(
     T-state total picks up the synthesized rotations, four states per
     Toffoli, and the explicit T gates.
     """
-    parts = split.parts(counts.error_budget)
-    per_rotation = rotation_t_count(parts["synthesis_budget"], counts.rotations, synthesis)
+    per_rotation = rotation_t_count(
+        split.synthesis * counts.error_budget, counts.rotations, synthesis
+    )
     min_steps = (
         counts.measurements
         + counts.rotations
@@ -183,7 +171,7 @@ def logical_counts(
         min_time_steps=min_steps,
         t_states=t_states,
         error_budget=counts.error_budget,
-        **parts,
+        split=split,
     )
 
 
@@ -233,7 +221,7 @@ class ApplicationPreset(NamedTuple):
     ) -> LogicalRequirements:
         if self.counts is not None:
             return logical_counts(self.counts, split, synthesis)
-        return self.requirements.with_budget_split(split)
+        return self.requirements._replace(split=split)
 
 
 _PRESETS: dict[str, ApplicationPreset] = {
@@ -245,7 +233,6 @@ _PRESETS: dict[str, ApplicationPreset] = {
             min_time_steps=1.5e5,
             t_states=2.4e6,
             error_budget=1e-3,
-            **BudgetSplit().parts(1e-3),
         ),
         notes=(
             "dynamics: stores published end-to-end totals (1.5e5 steps, 2.4e6 T "

@@ -5,8 +5,8 @@ budget over a (possibly stretched) schedule, selects the cheapest code and
 distance meeting the per-step target, finds a T-state factory for the
 distillation target, and then provisions enough factory copies to keep the
 algorithm fed. Stretching the schedule past its depth floor (``c_factor``)
-trades runtime for fewer factories and often a shorter distance, which is
-what :func:`frontier` sweeps.
+trades runtime for fewer factories; its per-step target tightens, so the
+distance stays or grows. :func:`frontier` sweeps this trade.
 """
 
 import math
@@ -96,12 +96,13 @@ def estimate(
 ) -> PhysicalEstimate:
     """Estimate physical resources for one schedule-stretch factor.
 
-    The step count, code distance, and factory interlock: more steps loosen
-    the per-step logical target but tighten nothing else, while a factory
-    slower than the whole schedule forces more steps. A handful of passes
-    settles this; in practice two suffice. The result always has a factory
-    no slower than its runtime: an interlock still unsettled after
-    ``_MAX_PASSES`` passes raises :class:`EstimatorError`.
+    The step count, code distance, and factory interlock: more steps tighten
+    the per-step logical target, so the distance stays or grows, while a
+    factory slower than the whole schedule forces more steps. A handful of
+    passes settles this; all 72 preset estimates (six qubits, three
+    workloads, stretch 1, 2, 4 and 8) settle in one. The result always has
+    a factory no slower than its runtime: an interlock still unsettled
+    after ``_MAX_PASSES`` passes raises :class:`EstimatorError`.
     """
     check("stretch", c_factor, "schedule stretch factor")
     c_factor = float(c_factor)

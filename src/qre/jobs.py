@@ -7,7 +7,7 @@ distance cap, factory search bounds, and extra code models to consider.
 
 Validation is two-staged: a JSON Schema pass for shape and numeric range,
 then semantic checks (preset existence, perfect-square lattices, and each
-parameter type's own checks as it is built, such as budget arithmetic).
+parameter type's own checks as it is built, such as the budget split's sum).
 A type's numeric nodes in the schema come from its ``field_bounds`` map
 (:mod:`qre.bounds`).
 Both stages report :class:`~qre.errors.SchemaError` with a JSON pointer to
@@ -74,8 +74,6 @@ _DURATION = _object(
     "value",
     "unit",
 )
-# The fields of inline requirements; the budget split gives the rest.
-_REQUIREMENTS = ("logical_qubits", "min_time_steps", "t_states", "error_budget")
 _CODE_NUMBERS = _numbers(QecCodeModel)
 
 _SCHEMA = _object(
@@ -110,12 +108,11 @@ _SCHEMA = _object(
                         "requirements": _object(
                             _numbers(
                                 LogicalRequirements,
-                                *_REQUIREMENTS,
                                 logical_qubits="qubits",
                                 min_time_steps="time_steps",
                                 t_states="count",
                             ),
-                            *_REQUIREMENTS,
+                            *LogicalRequirements.field_bounds,
                         ),
                         "ising": _object(
                             {
@@ -305,8 +302,7 @@ def _resolve_application(
         return _at("/application/counts", logical_counts, counts, split, synthesis), ()
     if "requirements" in spec:
         raw = spec["requirements"]
-        parts = split.parts(raw["error_budget"])
-        return _at("/application/requirements", LogicalRequirements, **raw, **parts), ()
+        return _at("/application/requirements", LogicalRequirements, **raw, split=split), ()
     raw = spec["ising"]
     if math.isqrt(raw["N"]) ** 2 != raw["N"]:
         raise SchemaError("lattice sites must be a perfect square", "/application/ising/N")

@@ -66,7 +66,7 @@ def test_every_schema_number_is_bounded_from_the_table():
 
 
 # Where each parameter type sits in a job, and the job path of each field
-# that the job names differently, nests, or (as None) leaves to be derived.
+# that the job names differently or nests.
 _TYPE_NODES = {
     PhysicalQubitParams: (
         ("qubit",),
@@ -83,10 +83,7 @@ _TYPE_NODES = {
         },
     ),
     AlgorithmCounts: (("application", "counts"), {}),
-    LogicalRequirements: (
-        ("application", "requirements"),
-        dict.fromkeys(("logical_budget", "distillation_budget", "synthesis_budget")),
-    ),
+    LogicalRequirements: (("application", "requirements"), {}),
     BudgetSplit: (("budget_split",), {}),
     SynthesisModel: (("overrides", "synthesis"), {}),
     SearchBounds: (("overrides", "factory"), {}),
@@ -103,8 +100,6 @@ def test_schema_numbers_come_from_the_field_bounds(record):
     expected = set()
     for field, kind in record.field_bounds.items():
         path = paths.get(field, (field,))
-        if path is None:
-            continue
         expected.add(path)
         node = _node_at(_SCHEMA, (*base, *path))
         lo, hi = BOUNDS[kind]
@@ -298,7 +293,7 @@ def test_main_at_every_edge_of_every_number(job):
 # --- construction and estimate() for library callers ------------------------
 
 _COUNTS = AlgorithmCounts(100, 1e6, 1e4, 1e4, 1e5, 1e3, 1e-3)
-_REQUIREMENTS = LogicalRequirements(100, 1e6, 1e6, 1e-3, 1e-4, 1e-4, 1e-4)
+_REQUIREMENTS = LogicalRequirements(100, 1e6, 1e6, 1e-3, split=BudgetSplit(0.1, 0.1, 0.1))
 
 _FIELDS = [
     (SynthesisModel(), "scale", "synthesis"),
@@ -317,9 +312,6 @@ _FIELDS = [
     (_REQUIREMENTS, "min_time_steps", "derived_time_steps"),
     (_REQUIREMENTS, "t_states", "derived_count"),
     (_REQUIREMENTS, "error_budget", "error_budget"),
-    (_REQUIREMENTS, "logical_budget", "budget_part"),
-    (_REQUIREMENTS, "distillation_budget", "budget_part"),
-    (_REQUIREMENTS, "synthesis_budget", "budget_part"),
     (qubit_preset("ns-e4"), "t_meas", "duration"),
     (qubit_preset("ns-e4"), "t_gate", "duration"),
     (qubit_preset("ns-e4"), "p_clifford", "probability"),
@@ -440,9 +432,10 @@ def test_distance_cap_leaves_factory_distances_alone():
 
 
 def test_warm_preset_op_makes_few_checks(monkeypatch):
-    """A warm preset op (parse, run, render) makes at most 11.0 ``check``
-    calls on average (9.33 measured): an all-defaults parameter object is
-    shared, not rebuilt and checked again."""
+    """A warm preset op (parse, run, render) makes at most 9.33 ``check``
+    calls on average (6.33 measured): an all-defaults parameter object is
+    shared, not rebuilt and checked again, and requirements check their four
+    fields, not three budget shares besides."""
     jobs = [
         {"qubit": qubit, "application": app, "c_factor": c_factor}
         for qubit in qubit_preset_names()
@@ -464,4 +457,4 @@ def test_warm_preset_op_makes_few_checks(monkeypatch):
         monkeypatch.setattr(module, "check", counted)
     for job in jobs:
         render(run(parse_job(job)), "json")
-    assert len(calls) / len(jobs) <= 11.0
+    assert len(calls) / len(jobs) <= 9.33

@@ -17,6 +17,7 @@ from qre import (
     parse_job,
     rotation_t_count,
 )
+from qre.bounds import BOUNDS
 
 
 class TestRotationTCount:
@@ -32,6 +33,13 @@ class TestRotationTCount:
     def test_budget_must_be_positive(self):
         with pytest.raises(ParameterError, match="positive"):
             rotation_t_count(0.0, 10)
+
+    def test_budget_part_bounds_the_synthesis_budget(self):
+        lo, hi = BOUNDS["budget_part"]
+        assert rotation_t_count(lo, 10) > rotation_t_count(hi, 10)
+        for budget in (math.nextafter(lo, 0), math.nextafter(hi, 2)):
+            with pytest.raises(ParameterError, match="budget_part"):
+                rotation_t_count(budget, 10)
 
     def test_custom_model(self):
         flat = SynthesisModel(scale=0.0, offset=7.0)
@@ -74,7 +82,7 @@ class TestLogicalCounts:
         reqs = logical_counts(_counts())
         assert reqs.logical_budget == pytest.approx(0.5 / 3)
         assert reqs.distillation_budget == pytest.approx(0.5 / 3)
-        assert reqs.synthesis_budget == pytest.approx(0.5 / 3)
+        assert reqs.split == BudgetSplit()
 
     def test_custom_split(self):
         reqs = logical_counts(_counts(), BudgetSplit(0.5, 0.25, 0.25))

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qre import (
+    BudgetSplit,
     EstimatorError,
     LogicalRequirements,
     ParameterError,
@@ -19,15 +20,12 @@ from threaded import threaded_frontier
 
 
 def _reqs(logical_qubits, min_time_steps, t_states, budget):
-    third = budget / 3
     return LogicalRequirements(
         logical_qubits=logical_qubits,
         min_time_steps=min_time_steps,
         t_states=t_states,
         error_budget=budget,
-        logical_budget=third,
-        distillation_budget=third,
-        synthesis_budget=third,
+        split=BudgetSplit(),
     )
 
 

@@ -7,19 +7,28 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qre import (
+    BudgetSplit,
     DistanceCapError,
+    ParameterError,
+    Report,
     SchemaError,
     SynthesisModel,
     application_preset,
+    application_preset_names,
+    estimate,
     ising_counts,
     logical_counts,
     parse_job,
+    qubit_preset,
     render,
     run,
 )
 import qre
+from qre.bounds import BOUNDS
 from qre.cli import main
 
 
@@ -207,6 +216,66 @@ class TestDistanceCap:
                          "overrides": {"max_code_distance": 5}})
         with pytest.raises(DistanceCapError):
             run(job)
+
+
+# Splits the sum rule accepts with no room to spare: each sums to just over 1.
+_EDGE_SPLITS = {
+    "dynamics": BudgetSplit(0.14, 0.729, 0.1310000010000001),
+    "factoring": BudgetSplit(0.14, 0.729, 0.1310000010000001),
+    "chemistry": BudgetSplit(0.751, 0.064, 0.18500000100000008),
+}
+
+
+@pytest.mark.parametrize("app", _EDGE_SPLITS)
+def test_edge_split_runs_as_estimate_does(tmp_path, capsys, app):
+    """A split that builds is the only budget check: the job runs, and its
+    report is what ``estimate()`` gives with that split."""
+    split = _EDGE_SPLITS[app]
+    obj = _job(application=app, budget_split=split._asdict())
+    assert main(["estimate", "--job", _write(tmp_path, obj)]) == 0
+    preset = application_preset(app)
+    est = estimate(qubit_preset("ns-e4"), preset.resolve(split))
+    report = Report(qre.__version__, obj, (est,), preset.notes)
+    assert capsys.readouterr().out == render(report) + "\n"
+
+
+@st.composite
+def _splits(draw):
+    """Budget splits that build; many sum to the sum rule's limit, 1 + 1e-9."""
+    lo, hi = BOUNDS["budget_share"]
+    total = draw(st.sampled_from([1 + 1e-9, 1.0]) | st.floats(3 * lo, 1 + 1e-9))
+    logical = max(lo, total * draw(st.floats(0, 1)))
+    distillation = max(lo, (total - logical) * draw(st.floats(0, 1)))
+    try:
+        return BudgetSplit(logical, distillation, min(hi, total - logical - distillation))
+    except ParameterError:
+        assume(False)
+
+
+_PRESET_BUDGETS = {
+    name: application_preset(name).resolve().error_budget for name in application_preset_names()
+}
+
+
+@given(split=_splits(), eps=st.floats(*BOUNDS["error_budget"]))
+@example(split=_EDGE_SPLITS["dynamics"], eps=1e-3)
+@example(split=_EDGE_SPLITS["chemistry"], eps=BOUNDS["error_budget"][0])
+@settings(deadline=None, derandomize=True, max_examples=200)
+def test_every_split_that_builds_resolves_on_every_route(split, eps):
+    """Each application route takes any split that builds, and divides the
+    job's error budget by it."""
+    inline = {
+        "counts": {"algorithm_qubits": 100, "rotations": 1e4, "rotation_layers": 1e3},
+        "requirements": {"logical_qubits": 100, "min_time_steps": 1e6, "t_states": 1e6},
+        "ising": {"N": 100, "T": 20},
+    }
+    routes = list(_PRESET_BUDGETS.items())
+    routes += [({key: {**value, "error_budget": eps}}, eps) for key, value in inline.items()]
+    for application, budget in routes:
+        reqs = parse_job(_job(application=application, budget_split=split._asdict())).requirements
+        assert reqs.split == split and reqs.error_budget == budget
+        assert reqs.logical_budget == split.logical * budget
+        assert reqs.distillation_budget == split.distillation * budget
 
 
 def _write(tmp_path, obj, name="job.json"):

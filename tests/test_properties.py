@@ -20,6 +20,7 @@ from qre import (
     HASTINGS_HAAH,
     SURFACE_GATE,
     AboveThresholdError,
+    BudgetSplit,
     DistanceCapError,
     InstructionSet,
     LogicalRequirements,
@@ -47,9 +48,7 @@ def _requirements(logical_qubits, min_time_steps, t_states, budget):
         min_time_steps=min_time_steps,
         t_states=t_states,
         error_budget=budget,
-        logical_budget=budget / 3,
-        distillation_budget=budget / 3,
-        synthesis_budget=budget / 3,
+        split=BudgetSplit(),
     )
 
 

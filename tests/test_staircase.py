@@ -24,6 +24,7 @@ import qre
 from qre import (
     BUILTIN_CODES,
     SURFACE_GATE,
+    BudgetSplit,
     DistillationUnitSpec,
     InstructionSet,
     LogicalRequirements,
@@ -348,9 +349,7 @@ def test_parallel_frontier_builds_each_staircase_once(monkeypatch):
         min_time_steps=500,
         t_states=1000,
         error_budget=1e-2,
-        logical_budget=1e-2 / 3,
-        distillation_budget=1e-2 / 3,
-        synthesis_budget=1e-2 / 3,
+        split=BudgetSplit(),
     )
     factors = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)  # six threads, all missing one key
     before = distillation._sweep.cache_info().misses
