@@ -16,7 +16,7 @@ from .counting import application_preset, application_preset_names
 from .errors import EstimatorError, SchemaError
 from .jobs import parse_job
 from .qubits import qubit_preset, qubit_preset_names
-from .report import render, run
+from .report import RENDERERS, render, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate physical resources for a job")
     est.add_argument("--job", required=True, help="path to a JSON job file")
-    est.add_argument("--format", choices=["json", "md", "csv"], default="json")
+    est.add_argument("--format", choices=RENDERERS, default="json")
 
     fro = sub.add_parser("frontier", help="sweep the space-time tradeoff of a job")
     fro.add_argument("--job", required=True, help="path to a JSON job file")
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated schedule stretch factors, e.g. 1,2,4,8 "
         "(falls back to frontier_factors in the job)",
     )
-    fro.add_argument("--format", choices=["json", "md", "csv"], default="csv")
+    fro.add_argument("--format", choices=RENDERERS, default="csv")
 
     pre = sub.add_parser("presets", help="list built-in presets")
     pre.add_argument("kind", nargs="?", choices=["qubits", "apps", "codes"])

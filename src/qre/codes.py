@@ -23,12 +23,6 @@ from .qubits import InstructionSet, PhysicalQubitParams
 DEFAULT_DISTANCE_CAP = 51
 
 
-def ceil_to_odd(value: float) -> int:
-    """Round up to the nearest odd integer, at least 3."""
-    d = max(3, math.ceil(value))
-    return d if d % 2 == 1 else d + 1
-
-
 @checked
 class QecCodeModel(NamedTuple):
     """Scaling model for one code family on one instruction set.
@@ -217,7 +211,7 @@ def required_distance(
     if target_error >= code.error_prefactor:
         return 3
     seed = 2 * math.log(code.error_prefactor / target_error) / -math.log(ratio) - 1
-    d = ceil_to_odd(seed)
+    d = max(3, math.ceil(seed)) | 1
     while d > 3 and code.logical_error(qubit, d - 2) <= target_error:
         d -= 2
     while code.logical_error(qubit, d) > target_error:
@@ -247,8 +241,7 @@ def select_code(
             f"no code model is compatible with instruction set "
             f"{qubit.instruction_set.value!r}"
         )
-    best: tuple[float, int, int] | None = None
-    chosen: tuple[QecCodeModel, int] | None = None
+    ranked: list[tuple[float, int, int, int]] = []
     failures: list[Exception] = []
     for index, code in enumerate(compatible):
         try:
@@ -257,17 +250,15 @@ def select_code(
             failures.append(exc)
             continue
         n = code.tile_qubits(d)
-        key = (n * code.step_time(qubit, d), n, index)
-        if best is None or key < best:
-            best = key
-            chosen = (code, d)
-    if chosen is None:
-        if all(isinstance(f, AboveThresholdError) for f in failures):
-            raise AboveThresholdError(
-                f"qubit {qubit.name!r} is above threshold for every compatible code"
-            )
-        raise DistanceCapError(
-            "distance cap exceeded for every compatible code: "
-            + "; ".join(str(f) for f in failures)
+        ranked.append((n * code.step_time(qubit, d), n, index, d))
+    if ranked:
+        _, _, index, d = min(ranked)
+        return compatible[index], d
+    if all(isinstance(f, AboveThresholdError) for f in failures):
+        raise AboveThresholdError(
+            f"qubit {qubit.name!r} is above threshold for every compatible code"
         )
-    return chosen
+    raise DistanceCapError(
+        "distance cap exceeded for every compatible code: "
+        + "; ".join(str(f) for f in failures)
+    )

@@ -102,6 +102,12 @@ class LogicalRequirements(NamedTuple):
         "error_budget": "error_budget",
     }
 
+    def _check(self) -> None:
+        if not isinstance(self.split, BudgetSplit):
+            raise ParameterError(
+                f"LogicalRequirements.split must be a BudgetSplit, got {type(self.split).__name__}"
+            )
+
     @property
     def logical_budget(self) -> float:
         return self.split.logical * self.error_budget

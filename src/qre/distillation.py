@@ -37,8 +37,16 @@ from .errors import (
 from .qubits import InstructionSet, PhysicalQubitParams
 
 ACCOUNTING_CONFIDENCE = 0.99
+# How factory output is counted, as reports name it: each factory run
+# promises its final-round output count at ACCOUNTING_CONFIDENCE; earlier
+# rounds are treated as satisfied by provisioning.
+F_ACCOUNTING = f"per-final-round-{100 * ACCOUNTING_CONFIDENCE:g}pct"
 
 _PROVISION_LIMIT = 10**9
+
+# A unit's output error per unit of Clifford error inside it: the output
+# error never falls below this times the Clifford error.
+_CLIFFORD_COEFFICIENT = 7.1
 
 
 class UnitKind(enum.Enum):
@@ -81,7 +89,7 @@ def unit_output_error(input_error: float, clifford_error: float) -> tuple[float,
             "formula out of validity range: acceptance probability is not positive "
             f"(input error {input_error:.3g}, clifford error {clifford_error:.3g})"
         )
-    output = 35.0 * input_error**3 + 7.1 * clifford_error
+    output = 35.0 * input_error**3 + _CLIFFORD_COEFFICIENT * clifford_error
     return output, acceptance
 
 
@@ -377,7 +385,7 @@ class _Sweep:
         self._order = count()
         # SearchBounds keeps an odd distance in range, so ``distances`` is not empty.
         self._top = distances[-1]
-        self._floor = 7.1 * patches[self._top].logical_error
+        self._floor = _CLIFFORD_COEFFICIENT * patches[self._top].logical_error
         for shape, (prefix, tables) in enumerate(self._shapes):
             units = prefix + tuple(table[distances[0]] for table in tables)
             self._push(shape, (distances[0],) * len(tables), len(tables) - 1, units)

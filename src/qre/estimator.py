@@ -22,11 +22,6 @@ from .qubits import PhysicalQubitParams
 
 _MAX_PASSES = 5
 
-# How factory output is counted: each factory run promises its final-round
-# output count at 99% confidence; earlier rounds are treated as satisfied
-# by provisioning.
-F_ACCOUNTING = "per-final-round-99pct"
-
 
 class PhysicalEstimate(NamedTuple):
     """One point of the space-time tradeoff for one workload on one qubit."""
@@ -40,7 +35,6 @@ class PhysicalEstimate(NamedTuple):
     runtime: int
     factory: TFactory | None
     factory_count: int
-    physical_qubits: int
 
     @property
     def step_time(self) -> int:
@@ -60,6 +54,11 @@ class PhysicalEstimate(NamedTuple):
         if self.factory is None:
             return 0
         return self.factory_count * self.factory.qubit_count
+
+    @property
+    def physical_qubits(self) -> int:
+        """The algorithm's tiles plus the factories: the two shares' sum."""
+        return self.algorithm_qubits + self.factory_qubits
 
     @property
     def factory_fraction(self) -> float:
@@ -117,14 +116,14 @@ def estimate(
         step_time = code.step_time(qubit, distance)
         runtime = step_time * steps
         if requirements.t_states <= 0:
-            factory = None
             break
         factory = search_factory(qubit, code, target_t_error, factory_bounds)
         if factory.duration <= runtime:
             break
         # A factory slower than the whole schedule would starve the
-        # algorithm; pad the schedule and re-settle the distance.
-        steps = max(steps, math.ceil(factory.duration / step_time))
+        # algorithm; pad the schedule and re-settle the distance. The exact
+        # ceiling, kept an int for a library caller's fractional durations.
+        steps = int(-(-factory.duration // step_time))
     else:
         raise EstimatorError(
             f"schedule and factory did not settle in {_MAX_PASSES} passes "
@@ -137,10 +136,6 @@ def estimate(
         demand = requirements.t_states * factory.duration / (factory.output_count * runtime)
         # At least one: for a tiny T-state count the demand underflows to 0.
         factory_count = max(1, math.ceil(demand))
-    physical_qubits = (
-        factory_count * (0 if factory is None else factory.qubit_count)
-        + requirements.logical_qubits * code.tile_qubits(distance)
-    )
     return PhysicalEstimate(
         qubit=qubit,
         requirements=requirements,
@@ -151,7 +146,6 @@ def estimate(
         runtime=runtime,
         factory=factory,
         factory_count=factory_count,
-        physical_qubits=physical_qubits,
     )
 
 

@@ -14,22 +14,9 @@ from typing import Any, NamedTuple
 from ._version import __version__
 from .display import format_duration, format_percent, format_qubit_count
 from .errors import ParameterError
-from .estimator import F_ACCOUNTING, PhysicalEstimate, frontier
+from .distillation import F_ACCOUNTING
+from .estimator import PhysicalEstimate, frontier
 from .jobs import JobSpec
-
-_FORMATS = ("json", "md", "csv")
-
-_CSV_FIELDS = (
-    "c_factor",
-    "code",
-    "distance",
-    "time_steps",
-    "runtime_ns",
-    "physical_qubits",
-    "factory_count",
-    "factory_qubits",
-    "factory_fraction",
-)
 
 
 class Report(NamedTuple):
@@ -58,13 +45,12 @@ def run(job: JobSpec) -> Report:
 
 
 def render(report: Report, format: str = "json") -> str:
-    if format == "json":
-        return _render_json(report)
-    if format == "md":
-        return _render_md(report)
-    if format == "csv":
-        return _render_csv(report)
-    raise ParameterError(f"unknown report format {format!r}; expected one of {_FORMATS}")
+    renderer = RENDERERS.get(format)
+    if renderer is None:
+        raise ParameterError(
+            f"unknown report format {format!r}; expected one of {tuple(RENDERERS)}"
+        )
+    return renderer(report)
 
 
 def _render_json(report: Report) -> str:
@@ -151,25 +137,31 @@ def format_c_factor(value: float) -> str:
     return str(int(value)) if value == int(value) else str(value)
 
 
+# Header -> value of one estimate's CSV row, in column order.
+_CSV_COLUMNS = {
+    "c_factor": lambda e: format_c_factor(e.c_factor),
+    "code": lambda e: e.code.name,
+    "distance": lambda e: e.distance,
+    "time_steps": lambda e: e.time_steps,
+    "runtime_ns": lambda e: e.runtime,
+    "physical_qubits": lambda e: e.physical_qubits,
+    "factory_count": lambda e: e.factory_count,
+    "factory_qubits": lambda e: e.factory_qubits,
+    "factory_fraction": lambda e: repr(e.factory_fraction),
+}
+
+
 def _render_csv(report: Report) -> str:
     import csv
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    writer.writerow(_CSV_COLUMNS)
     for e in report.estimates:
-        writer.writerow(
-            [
-                format_c_factor(e.c_factor),
-                e.code.name,
-                e.distance,
-                e.time_steps,
-                e.runtime,
-                e.physical_qubits,
-                e.factory_count,
-                e.factory_qubits,
-                repr(e.factory_fraction),
-            ]
-        )
+        writer.writerow([value(e) for value in _CSV_COLUMNS.values()])
     # Like json and md, no final newline: the caller's print adds one.
     return buffer.getvalue().removesuffix("\n")
+
+
+# Format name -> renderer; the CLI's --format choices are its keys.
+RENDERERS = {"json": _render_json, "md": _render_md, "csv": _render_csv}

@@ -432,10 +432,10 @@ def test_distance_cap_leaves_factory_distances_alone():
 
 
 def test_warm_preset_op_makes_few_checks(monkeypatch):
-    """A warm preset op (parse, run, render) makes at most 9.33 ``check``
-    calls on average (6.33 measured): an all-defaults parameter object is
-    shared, not rebuilt and checked again, and requirements check their four
-    fields, not three budget shares besides."""
+    """A warm preset op (parse, run, render) makes at most 6.34 ``check``
+    calls on average (456 over 72 ops, 6.33, measured): an all-defaults
+    parameter object is shared, not rebuilt and checked again, and
+    requirements check their four fields, not three budget shares besides."""
     jobs = [
         {"qubit": qubit, "application": app, "c_factor": c_factor}
         for qubit in qubit_preset_names()
@@ -457,4 +457,4 @@ def test_warm_preset_op_makes_few_checks(monkeypatch):
         monkeypatch.setattr(module, "check", counted)
     for job in jobs:
         render(run(parse_job(job)), "json")
-    assert len(calls) / len(jobs) <= 9.33
+    assert len(calls) / len(jobs) <= 6.34

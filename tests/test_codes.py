@@ -162,6 +162,34 @@ def test_select_code_above_threshold_everywhere():
         select_code(q, 1e-6)
 
 
+def test_select_code_full_tie_goes_to_the_earlier_entry():
+    q = qubit_preset("ns-e4")
+    twin = SURFACE_GATE._replace(name="twin")
+    assert select_code(q, CRITERION_TARGET, codes=(twin, SURFACE_GATE)) == (twin, 13)
+    assert select_code(q, CRITERION_TARGET, codes=(SURFACE_GATE, twin)) == (SURFACE_GATE, 13)
+
+
+def test_select_code_equal_cost_goes_to_the_smaller_tile():
+    # Half the tile at twice the step time: the same n*tau at every distance.
+    q = qubit_preset("ns-e4")
+    narrow = SURFACE_GATE._replace(
+        name="narrow", tile_quadratic=1, step_gate_factor=8, step_meas_factor=4
+    )
+    d = required_distance(SURFACE_GATE, q, CRITERION_TARGET)
+    assert narrow.tile_qubits(d) * narrow.step_time(q, d) == (
+        SURFACE_GATE.tile_qubits(d) * SURFACE_GATE.step_time(q, d)
+    )
+    assert select_code(q, CRITERION_TARGET, codes=(SURFACE_GATE, narrow)) == (narrow, d)
+
+
+def test_select_code_names_the_capped_code_among_hot_ones():
+    q = qubit_preset("ns-e4")
+    hot = SURFACE_GATE._replace(name="hot", threshold=1e-5)
+    with pytest.raises(DistanceCapError, match="code 'surface-gate' needs d=13") as info:
+        select_code(q, CRITERION_TARGET, codes=(hot, SURFACE_GATE), distance_cap=7)
+    assert "above threshold for code 'hot'" in str(info.value)
+
+
 class TestCustomCodeValidation:
     @pytest.mark.parametrize("code", BUILTIN_CODES, ids=lambda code: code.name)
     def test_round_trip(self, code):

@@ -7,6 +7,7 @@ import pytest
 from qre import (
     AlgorithmCounts,
     BudgetSplit,
+    LogicalRequirements,
     ParameterError,
     SynthesisModel,
     UnknownPresetError,
@@ -92,6 +93,10 @@ class TestLogicalCounts:
     def test_split_must_fit_in_budget(self):
         with pytest.raises(ParameterError, match="sum"):
             BudgetSplit(0.5, 0.4, 0.2)
+
+    def test_requirements_split_must_be_a_budget_split(self):
+        with pytest.raises(ParameterError, match="split must be a BudgetSplit"):
+            LogicalRequirements(10, 10, 10, 1e-3, split=(0.5, 0.5, 0.5))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ParameterError, match="negative count"):

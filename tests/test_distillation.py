@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qre import (
+    BUILTIN_CODES,
     HASTINGS_HAAH,
     SURFACE_GATE,
     DistillationUnitSpec,
@@ -21,10 +22,11 @@ from qre import (
     evaluate_factory,
     patch,
     qubit_preset,
+    qubit_preset_names,
     search_factory,
     unit_output_error,
 )
-from qre.distillation import _sweep, provisioned_copies, reliable_outputs
+from qre.distillation import _Sweep, _sweep, provisioned_copies, reliable_outputs
 
 SE = UnitKind.SPACE_EFFICIENT
 RM = UnitKind.RM_PREP
@@ -251,6 +253,19 @@ class TestSearch:
         _sweep.cache_clear()
         q = qubit_preset("ns-e4")
         assert search_factory(q, SURFACE_GATE, math.inf) == search_factory(q, SURFACE_GATE, 1.0)
+
+    def test_sweep_floor_is_the_unit_error_at_the_top_distance(self):
+        """The sweep stops at the error no unit beats: a unit's output with
+        error-free inputs at the top distance's Clifford error."""
+        bounds = SearchBounds()
+        for name in qubit_preset_names():
+            q = qubit_preset(name)
+            for code in BUILTIN_CODES:
+                if code.instruction_set is not q.instruction_set:
+                    continue
+                sweep = _Sweep(q, code, bounds)
+                p_top = patch(code, q, bounds.max_distance).logical_error
+                assert sweep._floor == unit_output_error(0.0, p_top)[0]
 
     def test_bounds_validation(self):
         with pytest.raises(ParameterError):

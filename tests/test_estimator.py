@@ -9,12 +9,15 @@ from qre import (
     EstimatorError,
     LogicalRequirements,
     ParameterError,
+    PhysicalEstimate,
     SearchBounds,
     application_preset,
+    application_preset_names,
     estimate,
     frontier,
     perfect_qubit_estimate,
     qubit_preset,
+    qubit_preset_names,
 )
 from threaded import threaded_frontier
 
@@ -52,12 +55,16 @@ class TestSingleEstimate:
         assert est.factory_count == 18
         assert est.physical_qubits == 113_980
 
-    def test_qubit_accounting_is_conserved(self, dynamics):
-        est = estimate(qubit_preset("ns-e4"), dynamics)
-        assert est.algorithm_qubits + est.factory_qubits == est.physical_qubits
-        assert est.algorithm_qubits == 230 * est.tile_qubits
-        assert est.factory_qubits == est.factory_count * est.factory.qubit_count
-        assert 0 < est.factory_fraction < 1
+    def test_qubit_accounting_is_conserved(self):
+        # The total is derived from its two shares, not stored beside them.
+        assert "physical_qubits" not in PhysicalEstimate._fields
+        for qubit in qubit_preset_names():
+            for app in application_preset_names():
+                est = estimate(qubit_preset(qubit), application_preset(app).resolve())
+                assert est.algorithm_qubits == est.requirements.logical_qubits * est.tile_qubits
+                assert est.factory_qubits == est.factory_count * est.factory.qubit_count
+                assert est.physical_qubits == est.algorithm_qubits + est.factory_qubits
+                assert 0 < est.factory_fraction < 1
 
     def test_error_budget_is_respected(self, dynamics):
         est = estimate(qubit_preset("ns-e4"), dynamics)
@@ -100,6 +107,12 @@ class TestInterlock:
         # One step cannot host a factory run, so a second pass pads the schedule.
         est = estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2))
         assert est.time_steps > 1
+        assert est.factory.duration <= est.runtime == est.time_steps * est.step_time
+
+    def test_padded_step_count_is_an_int_for_fractional_durations(self):
+        qubit = qubit_preset("ns-e4")._replace(name="fractional", t_gate=50.25, t_meas=100.5)
+        est = estimate(qubit, _reqs(10, 1, 1000, 1e-2))
+        assert est.time_steps == 22 and type(est.time_steps) is int
         assert est.factory.duration <= est.runtime == est.time_steps * est.step_time
 
     def test_unsettled_interlock_raises(self, monkeypatch):

@@ -338,6 +338,24 @@ class TestCli:
         assert len(lines) == 5
         assert lines[0].startswith("c_factor,code,distance")
 
+    def test_formats_are_the_renderers(self, factoring_job, capsys):
+        """``render`` and both commands' ``--format`` accept the same names."""
+        report = run(parse_job({"qubit": "us-e4", "application": "factoring"}))
+        with pytest.raises(ParameterError, match=r"\('json', 'md', 'csv'\)"):
+            render(report, "xml")
+        for command in ("estimate", "frontier"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--job", factoring_job, "--format", "xml"])
+            assert info.value.code == 2
+            assert "(choose from 'json', 'md', 'csv')" in capsys.readouterr().err
+        assert main(["estimate", "--job", factoring_job, "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == (
+            "c_factor,code,distance,time_steps,runtime_ns,physical_qubits,"
+            "factory_count,factory_qubits,factory_fraction"
+        )
+        assert len(row.split(",")) == len(header.split(","))
+
     def test_estimate_without_factory(self, tmp_path, capsys):
         """No T states, no factory: null in json, a zero count and share in md and csv."""
         requirements = {
