@@ -118,10 +118,11 @@ class LogicalRequirements(NamedTuple):
 
     @property
     def max_t_state_error(self) -> float:
-        """Per-T-state error target; infinite when no T states are needed."""
+        """Per-T-state error target; infinite when no T states are needed,
+        else finite: a count below one is served as one state."""
         if self.t_states <= 0:
             return math.inf
-        return self.distillation_budget / self.t_states
+        return self.distillation_budget / max(1, self.t_states)
 
 
 def rotation_t_count(

@@ -14,7 +14,6 @@ Both stages report :class:`~qre.errors.SchemaError` with a JSON pointer to
 the offending node.
 """
 
-import copy
 import math
 import reprlib
 from typing import Any, NamedTuple, NoReturn
@@ -201,12 +200,13 @@ def _is_type(node: Any, name: str) -> bool:
     return isinstance(node, _TYPES[name]) and not isinstance(node, bool)
 
 
-def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> None:
-    """Raise the first violation of ``schema`` in document order, checking a
-    node before its children. Only the keywords ``_SCHEMA`` uses are known;
-    ``anyOf`` follows the one branch whose ``type`` matches. Every numeric
-    node has both ``minimum`` and ``maximum``, and the range test fails NaN
-    and the infinities. The walk descends only into known keys."""
+def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> Any:
+    """Return a snapshot of ``node``, objects and arrays rebuilt and scalars
+    shared, or raise the first violation of ``schema`` in document order,
+    checking a node before its children. Only the keywords ``_SCHEMA`` uses
+    are known; ``anyOf`` follows the one branch whose ``type`` matches. Every
+    numeric node has both bounds, and the range test fails NaN and the
+    infinities. Objects forbid unknown keys: the walk meets only known ones."""
 
     def fail(message: str) -> NoReturn:
         raise SchemaError(message, _pointer(*path))
@@ -227,22 +227,19 @@ def _schema_pass(node: Any, schema: dict = _SCHEMA, *path: Any) -> None:
     if isinstance(node, list):
         if len(node) < schema.get("minItems", 0):
             fail(f"{reprlib.repr(node)} should have at least {schema['minItems']} items")
-        for index, item in enumerate(node):
-            _schema_pass(item, schema["items"], *path, index)
+        return [_schema_pass(item, schema["items"], *path, i) for i, item in enumerate(node)]
     if not isinstance(node, dict):
-        return
-    properties = schema.get("properties", {})
-    for key in schema.get("required", ()):
+        return node
+    properties = schema["properties"]
+    for key in schema["required"]:
         if key not in node:
             fail(f"{key!r} is a required property")
-    extra = [key for key in node if key not in properties]
-    if extra and schema.get("additionalProperties") is False:
-        fail(f"Additional properties are not allowed ({extra[0]!r} was unexpected)")
+    for key in node:
+        if key not in properties:
+            fail(f"Additional properties are not allowed ({key!r} was unexpected)")
     if not schema.get("minProperties", 0) <= len(node) <= schema.get("maxProperties", len(node)):
         fail(f"{reprlib.repr(node)} has {len(node)} properties, outside the allowed range")
-    for key, value in node.items():
-        if key in properties:
-            _schema_pass(value, properties[key], *path, key)
+    return {key: _schema_pass(value, properties[key], *path, key) for key, value in node.items()}
 
 
 def _ns(duration: dict, where: str) -> int:
@@ -313,37 +310,38 @@ def _resolve_application(
 
 def parse_job(obj: Any) -> JobSpec:
     """Validate a job object and resolve every reference in it. The result
-    depends on ``obj`` alone: nothing is read from the environment.
+    depends on ``obj`` alone: nothing is read from the environment. Every
+    field, and the echo, is built from the schema pass's one snapshot of it.
 
     Raises :class:`SchemaError` for anything a user could write wrong, with
     a JSON pointer locating the problem.
     """
-    _schema_pass(obj)
+    job = _schema_pass(obj)
 
     # The schema pass fixed every object's keys, so they map onto fields.
-    overrides = obj.get("overrides", {})
+    overrides = job.get("overrides", {})
     synthesis = SynthesisModel(**overrides.get("synthesis", {}))
-    split = _at("/budget_split", BudgetSplit, **obj.get("budget_split", {}))
-    spec = obj["qubit"]
+    split = _at("/budget_split", BudgetSplit, **job.get("budget_split", {}))
+    spec = job["qubit"]
     qubit = _at("/qubit", qubit_preset if isinstance(spec, str) else _qubit, spec)
-    requirements, notes = _resolve_application(obj["application"], split, synthesis)
+    requirements, notes = _resolve_application(job["application"], split, synthesis)
     codes = BUILTIN_CODES + tuple(
-        _at(_pointer("codes", i), _code, code) for i, code in enumerate(obj.get("codes", ()))
+        _at(_pointer("codes", i), _code, code) for i, code in enumerate(job.get("codes", ()))
     )
     factory_bounds = _at("/overrides/factory", SearchBounds, **overrides.get("factory", {}))
 
     frontier_factors = None
-    if "frontier_factors" in obj:
-        frontier_factors = tuple(float(f) for f in obj["frontier_factors"])
+    if "frontier_factors" in job:
+        frontier_factors = tuple(float(f) for f in job["frontier_factors"])
 
     return JobSpec(
         qubit=qubit,
         requirements=requirements,
         notes=notes,
-        c_factor=float(obj.get("c_factor", 1.0)),
+        c_factor=float(job.get("c_factor", 1.0)),
         frontier_factors=frontier_factors,
         distance_cap=overrides.get("max_code_distance", DEFAULT_DISTANCE_CAP),
         factory_bounds=factory_bounds,
         codes=codes,
-        echo=copy.deepcopy(obj),
+        echo=job,
     )

@@ -28,10 +28,10 @@ class InstructionSet(enum.Enum):
 class PhysicalQubitParams(NamedTuple):
     """Hardware-level qubit description.
 
-    Durations are integer nanoseconds. Error rates are probabilities per
+    Durations are in nanoseconds: a job gives whole ns, and a library
+    caller may pass fractional ns. Error rates are probabilities per
     primitive operation: ``p_clifford`` for the Clifford-level primitives
-    (gates and measurements alike) and ``p_t`` for a raw T-state
-    preparation.
+    (gates and measurements alike) and ``p_t`` for a raw T-state preparation.
 
     ``t_gate`` applies to gate-based instruction sets only; Majorana
     hardware is driven entirely by measurements.

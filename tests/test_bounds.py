@@ -46,23 +46,36 @@ from qre.cli import main
 from qre.jobs import _SCHEMA
 
 
-def _numeric_nodes(schema, path=()):
-    if schema.get("type") in ("number", "integer"):
-        yield path, schema
+def _schema_nodes(schema, path=()):
+    yield path, schema
     for key, child in schema.get("properties", {}).items():
-        yield from _numeric_nodes(child, (*path, key))
+        yield from _schema_nodes(child, (*path, key))
     if "items" in schema:
-        yield from _numeric_nodes(schema["items"], (*path, "items"))
+        yield from _schema_nodes(schema["items"], (*path, "items"))
     for index, branch in enumerate(schema.get("anyOf", ())):
-        yield from _numeric_nodes(branch, (*path, index))
+        yield from _schema_nodes(branch, (*path, index))
+
+
+def _numeric_nodes(schema):
+    numeric = ("number", "integer")
+    return [(p, node) for p, node in _schema_nodes(schema) if node.get("type") in numeric]
 
 
 def test_every_schema_number_is_bounded_from_the_table():
-    nodes = list(_numeric_nodes(_SCHEMA))
+    nodes = _numeric_nodes(_SCHEMA)
     assert len(nodes) > 30
     for path, node in nodes:
         assert "minimum" in node and "maximum" in node, path
         assert (node["minimum"], node["maximum"]) in BOUNDS.values(), path
+
+
+def test_every_schema_object_forbids_unknown_keys():
+    """The schema pass descends into an object's keys only after rejecting
+    unknown ones, so every object node must forbid them."""
+    objects = [(p, node) for p, node in _schema_nodes(_SCHEMA) if node.get("type") == "object"]
+    assert len(objects) > 10
+    for path, node in objects:
+        assert node.get("additionalProperties") is False, path
 
 
 # Where each parameter type sits in a job, and the job path of each field

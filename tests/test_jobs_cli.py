@@ -1,6 +1,7 @@
 """Job-file parsing, schema diagnostics and the command line."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,22 @@ class TestParse:
         assert job.requirements == expected
         assert job.requirements.t_states != 602_000  # the default synthesis model's count
         assert job.factory_bounds.max_rounds == 2
+
+    def test_echo_is_a_snapshot(self):
+        """The report echoes the job as parsed; the caller's later edits to
+        its nested objects and lists do not reach it."""
+        obj = _job(
+            application={"ising": {"N": 100, "T": 20}},
+            overrides={"synthesis": {"scale": 0.6}},
+            frontier_factors=[1, 2],
+        )
+        report = run(parse_job(obj))
+        before = render(report)
+        obj["application"]["ising"]["N"] = 400
+        obj["overrides"]["synthesis"]["scale"] = 0.9
+        obj["frontier_factors"].append(4)
+        obj["frontier_factors"][0] = 8
+        assert render(report) == before
 
 
 class TestSchemaDiagnostics:
@@ -316,15 +333,19 @@ class TestCli:
 
     @pytest.mark.parametrize("t_states", [5e-324, 1e-310, 0.5])
     def test_few_t_states_still_get_a_factory(self, tmp_path, capsys, t_states):
-        """However few T states a job asks for, one factory serves them;
-        5e-324 makes the per-state error target overflow to infinity."""
+        """However few T states a job asks for, one factory serves them, and
+        the per-state error target stays finite (a count below one is served
+        as one state, so 5e-324 does not overflow it)."""
         requirements = {
             "logical_qubits": 10,
             "min_time_steps": 100,
             "t_states": t_states,
             "error_budget": 0.001,
         }
-        path = _write(tmp_path, _job(application={"requirements": requirements}))
+        job = _job(application={"requirements": requirements})
+        target = parse_job(job).requirements.max_t_state_error
+        assert math.isfinite(target) and target == pytest.approx(0.001 / 3)
+        path = _write(tmp_path, job)
         assert main(["estimate", "--job", path]) == 0
         assert json.loads(capsys.readouterr().out)["estimates"][0]["factory_count"] >= 1
 
@@ -659,11 +680,11 @@ class TestHostileInput:
 
 
 def test_cli_import_needs_no_scipy_or_numpy():
-    # concurrent.futures (with logging), dataclasses (with inspect) and csv
-    # would each cost a cold start more than they give.
+    # concurrent.futures (with logging), dataclasses (with inspect), csv and
+    # copy would each cost a cold start more than they give.
     banned = (
         "scipy", "numpy", "jsonschema", "referencing", "rpds", "attr", "attrs", "concurrent",
-        "dataclasses", "inspect", "csv", "__future__",
+        "dataclasses", "inspect", "csv", "__future__", "copy",
     )
     code = (
         "import sys, qre.cli; "

@@ -164,10 +164,20 @@ def _our_pointer(job):
     return None
 
 
+def _assert_snapshot(job):
+    """A valid job's schema pass returns an equal copy that shares no
+    object or array with it."""
+    snapshot = _schema_pass(job)
+    assert snapshot == job
+    ours = {id(node) for _, node in _containers(snapshot)}
+    assert not ours & {id(node) for _, node in _containers(job)}
+
+
 @pytest.mark.parametrize("job", VALID_JOBS)
 def test_seed_jobs_are_valid(job):
     assert not list(_ORACLE.iter_errors(job))
     assert _our_pointer(job) is None
+    _assert_snapshot(job)
 
 
 @given(st.data())
@@ -179,6 +189,8 @@ def test_schema_pass_agrees_with_jsonschema(data):
     errors = list(_ORACLE.iter_errors(job))
     pointer = _our_pointer(job)
     assert (pointer is not None) == bool(errors)
+    if pointer is None:
+        _assert_snapshot(job)
     if len(errors) == 1 and not errors[0].context:
         assert pointer == _pointer(*errors[0].absolute_path)
 
