@@ -68,24 +68,15 @@ def _load_job_file(path: str) -> Any:
 
 
 def _load_job(args: argparse.Namespace) -> Any:
-    """The job file's JSON with ``--factors`` and ``QRE_DMAX`` written in, for
-    the schema to check and the report to echo. Only objects are written to."""
+    """The job file's JSON with ``--factors`` written in, for the schema to
+    check and the report to echo. Only an object is written to."""
     obj = _load_job_file(args.job)
-    if not isinstance(obj, dict):
-        return obj
     text = getattr(args, "factors", None)
-    if text is not None:
+    if text is not None and isinstance(obj, dict):
         try:
             obj["frontier_factors"] = [float(part) for part in text.split(",")]
         except ValueError:
             raise SchemaError(f"--factors must be comma-separated numbers, got {text!r}") from None
-    overrides = obj.get("overrides", {})
-    raw = os.environ.get("QRE_DMAX")
-    if raw is not None and isinstance(overrides, dict) and "max_code_distance" not in overrides:
-        try:
-            obj["overrides"] = {**overrides, "max_code_distance": int(raw)}
-        except ValueError:
-            raise SchemaError(f"QRE_DMAX must be an integer, got {raw!r}") from None
     return obj
 
 

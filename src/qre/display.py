@@ -7,7 +7,7 @@ needs to parse them back.
 
 import math
 
-# Largest-first; a duration is shown in the largest unit where it is >= 1.
+# Largest first, as format_duration searches them.
 _TIME_UNITS: tuple[tuple[str, int], ...] = (
     ("y", 365 * 24 * 3600 * 1_000_000_000),
     ("mo", 30 * 24 * 3600 * 1_000_000_000),
@@ -44,14 +44,19 @@ def format_sig(value: float, digits: int = 2) -> str:
 
 
 def format_duration(nanoseconds: float, digits: int = 4) -> str:
-    """Render a duration in the largest unit where the value reaches 1."""
-    if nanoseconds == 0:
-        return "0 ns"
+    """Render a duration in the largest unit where the value reaches 1, or in
+    the next larger unit when rounding carries it there (1000 ms is 1 s)."""
     magnitude = abs(nanoseconds)
-    for label, scale in _TIME_UNITS:
-        if magnitude >= scale:
-            return f"{format_sig(nanoseconds / scale, digits)} {label}"
-    return f"{format_sig(nanoseconds, digits)} ns"
+    index = next(
+        (i for i, (_, scale) in enumerate(_TIME_UNITS) if magnitude >= scale),
+        len(_TIME_UNITS) - 1,
+    )
+    label, scale = _TIME_UNITS[index]
+    text = format_sig(nanoseconds / scale, digits)
+    if index and abs(float(text)) * scale >= _TIME_UNITS[index - 1][1]:
+        label, scale = _TIME_UNITS[index - 1]
+        text = format_sig(nanoseconds / scale, digits)
+    return f"{text} {label}"
 
 
 def format_qubit_count(count: int) -> str:

@@ -376,10 +376,7 @@ class _Sweep:
             for kinds in product(UnitKind, repeat=total_rounds - len(prefix))
         ]
         self._max_final = bounds.max_final_copies
-        # Negated member errors (a rising sequence, for bisect_left) and members.
-        self.errors: list[float] = []
-        self.factories: list[TFactory] = []
-        self._best = inf  # the last member's error
+        self.factories: list[TFactory] = []  # the members, in cost order
         self._heap: list[tuple] = []
         self._chains: dict[tuple, tuple[float, tuple] | None] = {}
         self._order = count()
@@ -389,6 +386,11 @@ class _Sweep:
         for shape, (prefix, tables) in enumerate(self._shapes):
             units = prefix + tuple(table[distances[0]] for table in tables)
             self._push(shape, (distances[0],) * len(tables), len(tables) - 1, units)
+
+    @property
+    def _best(self) -> float:
+        """The last member's error, which a new member must beat."""
+        return self.factories[-1].output_error if self.factories else inf
 
     def _chain(self, shape: int, distances: tuple[int, ...]) -> tuple[float, tuple] | None:
         """Output error and round acceptances of the shape's rounds up to
@@ -475,10 +477,7 @@ class _Sweep:
             error, units, copies = entry[4:]
             if error < self._best:
                 rounds = [TFactoryRound(unit=u.spec, copies=c) for u, c in zip(units, copies)]
-                factory = evaluate_factory(rounds, self.qubit)
-                self.factories.append(factory)
-                self.errors.append(-error)
-                self._best = error
+                self.factories.append(evaluate_factory(rounds, self.qubit))
                 if error <= self._floor:
                     self._heap.clear()
             return
@@ -538,8 +537,8 @@ def search_factory(
     with _STAIRCASE_LOCK:
         sweep = _sweep(qubit, code, bounds)
         sweep.settle(target_error)
-        errors, factories = sweep.errors, sweep.factories
-        index = bisect_left(errors, -target_error)
+        factories = sweep.factories
+        index = bisect_left(factories, -target_error, key=lambda f: -f.output_error)
         if index < len(factories):
             return factories[index]
-    raise NoFactoryError(target_error, -errors[-1] if errors else None)
+    raise NoFactoryError(target_error, factories[-1].output_error if factories else None)

@@ -42,13 +42,13 @@ def _bounded(kind: str, name: str) -> dict:
     return {"type": kind, "minimum": minimum, "maximum": maximum}
 
 
-def _numbers(record: type, *fields: str, **narrower: str) -> dict:
-    """Nodes for the numeric ``fields`` of a parameter type (all it bounds by
-    default): ``integer`` where the field is annotated ``int``, bounded by the
-    kind in the type's ``field_bounds`` or by a ``narrower`` kind."""
+def _numbers(record: type, **narrower: str) -> dict:
+    """Nodes for every numeric field of a parameter type: ``integer`` where
+    the field is annotated ``int``, bounded by the kind in the type's
+    ``field_bounds`` or by a ``narrower`` kind."""
     kinds = {**record.field_bounds, **narrower}
     types = {field: "integer" if t is int else "number" for field, t in record.__annotations__.items()}
-    return {field: _bounded(types[field], kinds[field]) for field in fields or kinds}
+    return {field: _bounded(types[field], kinds[field]) for field in kinds}
 
 
 def _object(properties: dict, *required: str, **keywords: Any) -> dict:
@@ -310,8 +310,8 @@ def _resolve_application(
 
 def parse_job(obj: Any) -> JobSpec:
     """Validate a job object and resolve every reference in it. The result
-    depends on ``obj`` alone: nothing is read from the environment. Every
-    field, and the echo, is built from the schema pass's one snapshot of it.
+    depends on ``obj`` alone. Every field, and the echo, is built from the
+    schema pass's one snapshot of it.
 
     Raises :class:`SchemaError` for anything a user could write wrong, with
     a JSON pointer locating the problem.

@@ -407,19 +407,17 @@ def test_in_bound_counts_give_in_bound_requirements():
             estimate(qubit_preset(name), reqs, BOUNDS["stretch"][1])
 
 
-def test_distance_cap_env_is_checked_against_the_table(tmp_path, monkeypatch, capsys):
-    """The CLI writes ``QRE_DMAX`` into the job, where the schema checks it."""
+def test_distance_cap_is_checked_against_the_table(tmp_path, capsys):
+    """The job's cap is checked by the schema, at its pointer."""
     path = tmp_path / "job.json"
-    path.write_text(json.dumps({"qubit": "ns-e4", "application": "dynamics"}))
     lo, hi = BOUNDS["code_distance"]
-    for value in (hi, lo):
-        monkeypatch.setenv("QRE_DMAX", str(value))
-        assert main(["validate", "--job", str(path)]) == 0
-    for value in (hi + 1, lo - 1, 10**400):
-        monkeypatch.setenv("QRE_DMAX", str(value))
-        assert main(["validate", "--job", str(path)]) == 2
+    for value, code in ((hi, 0), (lo, 0), (hi + 1, 2), (lo - 1, 2), (10**400, 2)):
+        job = {"qubit": "ns-e4", "application": "dynamics"}
+        path.write_text(json.dumps({**job, "overrides": {"max_code_distance": value}}))
+        assert main(["validate", "--job", str(path)]) == code
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.endswith("(at /overrides/max_code_distance)\n")
+        if code:
+            assert err.count("\n") == 1 and err.endswith("(at /overrides/max_code_distance)\n")
 
 
 def test_distance_cap_leaves_factory_distances_alone():

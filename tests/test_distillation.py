@@ -118,6 +118,14 @@ class TestProvisioning:
         with pytest.raises(ValidityRangeError, match="diverges"):
             provisioned_copies(15, 1e-9)
 
+    @pytest.mark.parametrize(
+        "copies, acceptance, error",
+        [(0, 0.5, ParameterError), (1, 0.0, ValidityRangeError), (1, 1.5, ValidityRangeError)],
+    )
+    def test_reliable_outputs_rejects(self, copies, acceptance, error):
+        with pytest.raises(error):
+            reliable_outputs(copies, acceptance)
+
     def test_reliable_outputs_all_or_some(self):
         assert reliable_outputs(1, 0.999) == 1
         assert reliable_outputs(2, 0.999) == 2
@@ -196,6 +204,12 @@ class TestEvaluateFactory:
         )
         rounds = [TFactoryRound(unit=_logical(SE, HASTINGS_HAAH, q, 3), copies=1)]
         with pytest.raises(FactoryOutputError, match="no reliable output"):
+            evaluate_factory(rounds, q)
+
+    def test_round_without_copies_rejected(self):
+        q = qubit_preset("ns-e4")
+        rounds = [TFactoryRound(unit=_logical(SE, SURFACE_GATE, q, 9), copies=0)]
+        with pytest.raises(ParameterError, match="round 1: copies"):
             evaluate_factory(rounds, q)
 
     def test_empty_factory_rejected(self):

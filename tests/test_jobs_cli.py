@@ -198,35 +198,35 @@ class TestSchemaDiagnostics:
 
 
 class TestDistanceCap:
-    def test_override_beats_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QRE_DMAX", "41")
-        path = _write(tmp_path, _job(overrides={"max_code_distance": 9}))
+    def test_job_cap(self, tmp_path, capsys):
+        """The job's cap is echoed in the report, and the run keeps to it."""
+        path = _write(tmp_path, _job(overrides={"max_code_distance": 41}))
         assert main(["estimate", "--job", path]) == 0
-        assert json.loads(capsys.readouterr().out)["job"]["overrides"] == {"max_code_distance": 9}
-
-    def test_environment_cap(self, tmp_path, capsys, monkeypatch):
-        """``QRE_DMAX`` is written into the job, so the report echoes it and
-        the run keeps to it."""
-        monkeypatch.setenv("QRE_DMAX", "41")
-        assert main(["estimate", "--job", _write(tmp_path, _job())]) == 0
         assert json.loads(capsys.readouterr().out)["job"]["overrides"] == {"max_code_distance": 41}
-        monkeypatch.setenv("QRE_DMAX", "5")
-        path = _write(tmp_path, {"qubit": "us-e3", "application": "dynamics"})
+        path = _write(
+            tmp_path,
+            {"qubit": "us-e3", "application": "dynamics", "overrides": {"max_code_distance": 5}},
+        )
         assert main(["estimate", "--job", path]) == 1
         assert "distance" in capsys.readouterr().err
 
-    def test_bad_environment_value(self, tmp_path, capsys, monkeypatch):
-        path = _write(tmp_path, _job())
-        for value in ("tiny", "4.5", ""):
-            monkeypatch.setenv("QRE_DMAX", value)
-            assert main(["estimate", "--job", path]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: QRE_DMAX") and err.count("\n") == 1
-
-    def test_parse_job_reads_no_environment(self, monkeypatch):
+    def test_parse_job_reads_no_environment(self, tmp_path, capsys, monkeypatch):
+        """Neither the library nor the CLI reads ``QRE_DMAX``: a set value,
+        even one that would block the run or is not a number, changes no
+        byte and no exit code."""
         expected = render(run(parse_job(_job())), "json")
-        monkeypatch.setenv("QRE_DMAX", "3")
-        assert render(run(parse_job(_job())), "json") == expected
+        path = _write(tmp_path, _job())
+        commands = [["estimate"], ["frontier", "--factors", "1,2"], ["validate"]]
+
+        def outcomes():
+            return [(main([*argv, "--job", path]), capsys.readouterr()) for argv in commands]
+
+        unset = outcomes()
+        assert [code for code, _ in unset] == [0, 0, 0]
+        for value in ("3", "41", "tiny"):
+            monkeypatch.setenv("QRE_DMAX", value)
+            assert render(run(parse_job(_job())), "json") == expected
+            assert outcomes() == unset
 
     def test_cap_can_block_a_run(self):
         job = parse_job({"qubit": "us-e3", "application": "dynamics",
@@ -427,18 +427,12 @@ class TestCli:
         assert '"frontier_factors": [\n      1.0,\n      2.0\n    ]' in out
         assert [e["c_factor"] for e in json.loads(out)["estimates"]] == [1.0, 2.0]
 
-    @pytest.mark.parametrize(
-        "argv, env",
-        [(["frontier", "--factors", "1,2"], {}), (["estimate"], {"QRE_DMAX": "41"})],
-        ids=["factors", "environment"],
-    )
-    def test_extra_inputs_leave_a_non_object_job_to_the_schema(
-        self, tmp_path, capsys, monkeypatch, argv, env
-    ):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    @pytest.mark.parametrize("factors", ["1,2", "1,two"], ids=["factors", "bad-factors"])
+    def test_extra_inputs_leave_a_non_object_job_to_the_schema(self, tmp_path, capsys, factors):
+        """``--factors``, well formed or not, is written only into an object:
+        any other job reaches the schema as it is."""
         for obj in ([1, 2], "job", None):
-            assert main([*argv, "--job", _write(tmp_path, obj)]) == 2
+            assert main(["frontier", "--factors", factors, "--job", _write(tmp_path, obj)]) == 2
             err = capsys.readouterr().err
             assert err.endswith("(at /)\n") and err.count("\n") == 1
 
@@ -592,6 +586,21 @@ class TestHostileInput:
                 _job(overrides={"factory": {"min_distance": 4, "max_distance": 4}}),
                 "/overrides/factory",
             ),
+            (
+                _job(
+                    codes=[
+                        {
+                            "name": "",
+                            "instruction_set": "gate-based",
+                            "error_prefactor": 0.03,
+                            "threshold": 0.01,
+                            "qubits_per_tile": {"quadratic": 4},
+                            "step_time": {"gate_factor": 4, "meas_factor": 2},
+                        }
+                    ]
+                ),
+                "/codes/0",
+            ),
         ],
         ids=[
             "huge-float-sites",
@@ -603,11 +612,12 @@ class TestHostileInput:
             "distance-over-cap",
             "copies-over-cap",
             "even-only-distances",
+            "unnamed-code",
         ],
     )
     def test_cli_rejects_at_pointer(self, tmp_path, capsys, obj, pointer):
-        """Integers must be JSON integers, and the factory search is capped and
-        holds at least one (odd) distance."""
+        """Integers must be JSON integers, the factory search is capped and
+        holds at least one (odd) distance, and a code needs a name."""
         assert main(["estimate", "--job", _write(tmp_path, obj)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.endswith(f"(at {pointer})\n")
@@ -623,6 +633,11 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert err.endswith(f"(at /frontier_factors/{factors.count(',')})\n")
+
+    def test_cli_factor_flag_must_be_numbers(self, tmp_path, capsys):
+        assert main(["frontier", "--job", _write(tmp_path, _job()), "--factors", "1,two"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --factors ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
