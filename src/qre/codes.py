@@ -208,14 +208,16 @@ def required_distance(
     if not target_error > 0:
         raise ParameterError("target error must be positive")
     ratio = code._suppression_base(qubit)
+    # The floor, without the seed: an infinite target would reach log(0).
     if target_error >= code.error_prefactor:
-        return 3
-    seed = 2 * math.log(code.error_prefactor / target_error) / -math.log(ratio) - 1
-    d = max(3, math.ceil(seed)) | 1
-    while d > 3 and code.logical_error(qubit, d - 2) <= target_error:
-        d -= 2
-    while code.logical_error(qubit, d) > target_error:
-        d += 2
+        d = 3
+    else:
+        seed = 2 * math.log(code.error_prefactor / target_error) / -math.log(ratio) - 1
+        d = max(3, math.ceil(seed)) | 1
+        while d > 3 and code.logical_error(qubit, d - 2) <= target_error:
+            d -= 2
+        while code.logical_error(qubit, d) > target_error:
+            d += 2
     if d > distance_cap:
         raise DistanceCapError(
             f"distance cap exceeded: code {code.name!r} needs d={d} for "
@@ -259,6 +261,6 @@ def select_code(
             f"qubit {qubit.name!r} is above threshold for every compatible code"
         )
     raise DistanceCapError(
-        "distance cap exceeded for every compatible code: "
+        f"no compatible code meets target {target_error:.3g}: "
         + "; ".join(str(f) for f in failures)
     )

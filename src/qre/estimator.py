@@ -20,8 +20,6 @@ from .display import format_duration
 from .errors import EstimatorError
 from .qubits import PhysicalQubitParams
 
-_MAX_PASSES = 5
-
 
 class PhysicalEstimate(NamedTuple):
     """One point of the space-time tradeoff for one workload on one qubit."""
@@ -97,18 +95,25 @@ def estimate(
 
     The step count, code distance, and factory interlock: more steps tighten
     the per-step logical target, so the distance stays or grows, while a
-    factory slower than the whole schedule forces more steps. A handful of
-    passes settles this; all 72 preset estimates (six qubits, three
-    workloads, stretch 1, 2, 4 and 8) settle in one. The result always has
-    a factory no slower than its runtime: an interlock still unsettled
-    after ``_MAX_PASSES`` passes raises :class:`EstimatorError`.
+    factory slower than the whole schedule forces more steps. Padding only
+    raises the step count, so each unsettled pass pads for a new code, and
+    at most one pass per compatible code plus one runs; all 72 preset
+    estimates (six qubits, three workloads, stretch 1, 2, 4 and 8) settle in
+    one. The result always has a factory no slower than its runtime.
     """
     check("stretch", c_factor, "schedule stretch factor")
     c_factor = float(c_factor)
     steps = max(1, math.ceil(c_factor * requirements.min_time_steps))
     target_t_error = requirements.max_t_state_error
     factory: TFactory | None = None
-    for _ in range(_MAX_PASSES):
+    # The bound is proved: the factory depends only on the code, since its
+    # target is per T state and not per step. A pad sets steps to
+    # ceil(D_f / tau(d)), and padding only ever raises steps. At more steps a
+    # code's distance, step time and runtime never fall, so a code padded for
+    # settles whenever a later pass picks it again. Each pass that does not
+    # settle thus pads for a new code, and at most len(compatible) + 1 passes
+    # run. The raise below guards these premises and is not a tuned limit.
+    for _ in range(len(codes) + 1):
         per_step_target = requirements.logical_budget / (
             requirements.logical_qubits * steps
         )
@@ -126,7 +131,7 @@ def estimate(
         steps = int(-(-factory.duration // step_time))
     else:
         raise EstimatorError(
-            f"schedule and factory did not settle in {_MAX_PASSES} passes "
+            f"schedule and factory did not settle in {len(codes) + 1} passes "
             f"(factory {format_duration(factory.duration)}, runtime {format_duration(runtime)})"
         )
 

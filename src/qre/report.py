@@ -112,10 +112,12 @@ def _render_md(report: Report) -> str:
         "| ---: | --- | ---: | ---: | ---: | ---: | ---: |",
     ]
     for e in report.estimates:
+        # Backslashes first: GFM reads a doubled one as a literal backslash.
+        name = e.code.name.replace("\\", r"\\").replace("|", r"\|")
         lines.append(
             "| {} | {} | {} | {} | {} | {} | {} |".format(
                 format_c_factor(e.c_factor),
-                e.code.name.replace("|", r"\|").replace("\r", " ").replace("\n", " "),
+                name.replace("\r", " ").replace("\n", " "),
                 e.distance,
                 e.factory_count,
                 format_percent(e.factory_fraction),

@@ -8,11 +8,14 @@ from qre import (
     SURFACE_GATE,
     SURFACE_MEAS,
     AboveThresholdError,
+    BudgetSplit,
     DistanceCapError,
     InstructionSet,
     LogicalPatch,
+    LogicalRequirements,
     ParameterError,
     PhysicalQubitParams,
+    estimate,
     parse_job,
     patch,
     qubit_preset,
@@ -103,6 +106,12 @@ class TestRequiredDistance:
             required_distance(SURFACE_GATE, q, 1e-30)
         # same target passes with the cap raised
         assert required_distance(SURFACE_GATE, q, 1e-30, distance_cap=99) == 57
+        # A loose target takes the floor, which a cap below 3 still forbids.
+        loose = LogicalRequirements(1, 1, 0, 0.5, BudgetSplit())
+        with pytest.raises(DistanceCapError, match="distance cap exceeded"):
+            required_distance(SURFACE_GATE, qubit_preset("ns-e4"), 0.5, distance_cap=1)
+        with pytest.raises(DistanceCapError, match="distance cap exceeded"):
+            estimate(qubit_preset("ns-e4"), loose, distance_cap=1)
 
     def test_target_must_be_positive(self):
         with pytest.raises(ParameterError, match="positive"):
@@ -188,6 +197,7 @@ def test_select_code_names_the_capped_code_among_hot_ones():
     with pytest.raises(DistanceCapError, match="code 'surface-gate' needs d=13") as info:
         select_code(q, CRITERION_TARGET, codes=(hot, SURFACE_GATE), distance_cap=7)
     assert "above threshold for code 'hot'" in str(info.value)
+    assert str(info.value).startswith(f"no compatible code meets target {CRITERION_TARGET:.3g}: ")
 
 
 class TestCustomCodeValidation:

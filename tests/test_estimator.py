@@ -10,14 +10,18 @@ from qre import (
     LogicalRequirements,
     ParameterError,
     PhysicalEstimate,
+    SURFACE_GATE,
     SearchBounds,
     application_preset,
     application_preset_names,
     estimate,
     frontier,
+    parse_job,
     perfect_qubit_estimate,
     qubit_preset,
     qubit_preset_names,
+    run,
+    select_code,
 )
 from threaded import threaded_frontier
 
@@ -30,6 +34,86 @@ def _reqs(logical_qubits, min_time_steps, t_states, budget):
         error_budget=budget,
         split=BudgetSplit(),
     )
+
+
+# Each of its three compatible codes is padded for once before c2 settles.
+_TIGHT_JOB = {
+    "qubit": {
+        "name": "x",
+        "instruction_set": "gate-based",
+        "t_meas": {"value": 680, "unit": "ns"},
+        "p_clifford": 7.7e-05,
+        "p_t": 0.0074,
+        "t_gate": {"value": 804, "unit": "ns"},
+    },
+    "application": {
+        "requirements": {
+            "logical_qubits": 3,
+            "min_time_steps": 3,
+            "t_states": 6.5e12,
+            "error_budget": 0.00033,
+        }
+    },
+    "budget_split": {"logical": 0.0065, "distillation": 0.013, "synthesis": 0.97},
+    "codes": [
+        {
+            "name": "c2",
+            "instruction_set": "gate-based",
+            "error_prefactor": 1.7e-05,
+            "threshold": 0.013,
+            "qubits_per_tile": {"quadratic": 2, "linear": 15},
+            "step_time": {"gate_factor": 10, "meas_factor": 5},
+        },
+        {
+            "name": "c6",
+            "instruction_set": "gate-based",
+            "error_prefactor": 0.014,
+            "threshold": 0.084,
+            "qubits_per_tile": {"quadratic": 11, "linear": 17},
+            "step_time": {"meas_factor": 7},
+        },
+    ],
+}
+
+# Five custom codes, each the cheapest while its distance is 3, so the
+# interlock pads for each in turn; a sixth pass settles on k0 at d=5.
+_CHAIN_JOB = {
+    "qubit": {
+        "name": "x",
+        "instruction_set": "gate-based",
+        "t_meas": {"value": 100, "unit": "ns"},
+        "t_gate": {"value": 100, "unit": "ns"},
+        "p_clifford": 0.001,
+        "p_t": 0.01,
+    },
+    "application": {
+        "requirements": {
+            "logical_qubits": 1,
+            "min_time_steps": 1,
+            "t_states": 1e8,
+            "error_budget": 0.001,
+        }
+    },
+    "codes": [
+        {
+            "name": f"k{k}",
+            "instruction_set": "gate-based",
+            "error_prefactor": prefactor,
+            "threshold": threshold,
+            "qubits_per_tile": {"quadratic": 1, "constant": constant},
+            "step_time": {"meas_factor": 1},
+        }
+        for k, (prefactor, threshold, constant) in enumerate(
+            (
+                (53.3, 0.4, 1),
+                (0.0239, 0.0667, 3),
+                (0.00389, 0.0286, 5),
+                (0.0011, 0.016, 8),
+                (0.000462, 0.0108, 11),
+            )
+        )
+    ],
+}
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +199,62 @@ class TestInterlock:
         assert est.time_steps == 22 and type(est.time_steps) is int
         assert est.factory.duration <= est.runtime == est.time_steps * est.step_time
 
-    def test_unsettled_interlock_raises(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "job, picks, settled",
+        [
+            (
+                _TIGHT_JOB,
+                [("surface-gate", 5), ("c6", 3), ("c2", 3), ("c2", 3)],
+                ("c2", 3, 72, 2_471_040, 2_459_600, 6_469_907_407_408),
+            ),
+            (
+                _CHAIN_JOB,
+                [("k0", 3), ("k1", 3), ("k2", 3), ("k3", 3), ("k4", 3), ("k0", 5)],
+                ("k0", 5, 92, 46_000, 18_600, 40_434_783),
+            ),
+        ],
+        ids=["tight", "six-passes"],
+    )
+    def test_each_pad_is_for_a_new_code(self, monkeypatch, job, picks, settled):
+        """Every pass but the last pads for a code no earlier pass padded for,
+        and a code padded for settles when picked again."""
         from qre import estimator
 
-        monkeypatch.setattr(estimator, "_MAX_PASSES", 1)
-        with pytest.raises(EstimatorError, match="did not settle in 1 passes"):
-            estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2))
+        seen = []
+
+        def recording(*args):
+            code, distance = select_code(*args)
+            seen.append((code.name, distance))
+            return code, distance
+
+        monkeypatch.setattr(estimator, "select_code", recording)
+        est = run(parse_job(job)).estimates[0]
+        assert seen == picks
+        assert (
+            est.code.name,
+            est.distance,
+            est.time_steps,
+            est.runtime,
+            est.factory.duration,
+            est.factory_count,
+        ) == settled
+
+    def test_unsettled_interlock_raises(self, monkeypatch):
+        # A distance that shrinks as steps grow breaks the bound's premise.
+        from qre import estimator
+
+        distances = iter((5, 3))
+        passes = []
+
+        def shrinking(qubit, target, codes, cap):
+            code, _ = select_code(qubit, target, codes, cap)
+            passes.append(target)
+            return code, next(distances)
+
+        monkeypatch.setattr(estimator, "select_code", shrinking)
+        with pytest.raises(EstimatorError, match="did not settle in 2 passes") as info:
+            estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2), codes=(SURFACE_GATE,))
+        assert len(passes) == 2 and "\n" not in str(info.value)
 
 
 class TestFrontier:

@@ -12,6 +12,7 @@ import math
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
@@ -30,6 +31,7 @@ from qre import (
     QecCodeModel,
     SearchBounds,
     estimate,
+    estimator,
     evaluate_factory,
     frontier,
     qubit_preset,
@@ -165,17 +167,19 @@ _INTERLOCK_BOUNDS = SearchBounds(max_rounds=2, max_distance=15)
 
 
 @st.composite
-def _majorana_code(draw):
+def _custom_code(draw):
+    instruction_set = draw(st.sampled_from(InstructionSet))
+    gate_based = instruction_set is InstructionSet.GATE_BASED
     fields = dict(
         name=f"custom-{draw(st.integers(0, 10**6))}",
-        instruction_set=InstructionSet.MAJORANA,
-        error_prefactor=draw(st.floats(0.01, 0.3)),
+        instruction_set=instruction_set,
+        error_prefactor=10 ** draw(st.floats(-6.0, -0.5)),
         threshold=10 ** draw(st.floats(-3.0, -1.5)),
         tile_quadratic=draw(st.integers(0, 6)),
         tile_linear=draw(st.integers(-8, 20)),
         tile_constant=draw(st.integers(-20, 20)),
-        step_gate_factor=0,
-        step_meas_factor=draw(st.integers(1, 30)),
+        step_gate_factor=draw(st.integers(0, 30)) if gate_based else 0,
+        step_meas_factor=draw(st.integers(0 if gate_based else 1, 30)),
     )
     try:
         return QecCodeModel(**fields)
@@ -184,10 +188,12 @@ def _majorana_code(draw):
 
 
 @given(
+    gate_based=st.booleans(),
+    t_gate=st.integers(1, 10**4),
     t_meas=st.integers(1, 10**4),
     p_clifford=st.floats(-6.0, -3.5),
     p_t=st.floats(-4.0, -1.3),
-    codes=st.lists(_majorana_code(), min_size=1, max_size=3),
+    codes=st.lists(_custom_code(), min_size=1, max_size=5),
     logical_qubits=st.integers(1, 100),
     min_steps=st.integers(1, 10**4),
     t_states=st.integers(1, 10**10),
@@ -196,26 +202,53 @@ def _majorana_code(draw):
 )
 @settings(deadline=None, derandomize=True, max_examples=150)
 def test_interlock_factory_keeps_up(
-    t_meas, p_clifford, p_t, codes, logical_qubits, min_steps, t_states, budget, c_factor
+    gate_based,
+    t_gate,
+    t_meas,
+    p_clifford,
+    p_t,
+    codes,
+    logical_qubits,
+    min_steps,
+    t_states,
+    budget,
+    c_factor,
 ):
     """Every returned estimate runs its factory within its runtime, also when
-    the schedule's padding switches between codes and so between factories."""
+    the schedule's padding switches between codes and so between factories;
+    each pass that does not settle pads for a code no earlier pass did."""
+    instruction_set = InstructionSet.GATE_BASED if gate_based else InstructionSet.MAJORANA
+    compatible = [c for c in codes if c.instruction_set is instruction_set]
+    assume(compatible)
     qubit = PhysicalQubitParams(
         name="interlock",
-        instruction_set=InstructionSet.MAJORANA,
+        instruction_set=instruction_set,
         t_meas=t_meas,
         p_clifford=10**p_clifford,
         p_t=10**p_t,
+        t_gate=t_gate if gate_based else None,
     )
     reqs = _requirements(logical_qubits, min_steps, t_states, budget)
-    try:
-        est = estimate(
-            qubit, reqs, c_factor, codes=tuple(codes), factory_bounds=_INTERLOCK_BOUNDS
-        )
-    except (NoFactoryError, DistanceCapError, AboveThresholdError):
-        return
+    picks = []
+
+    def recording(*args):
+        code, distance = select_code(*args)
+        picks.append(code)
+        return code, distance
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator, "select_code", recording)
+        try:
+            est = estimate(
+                qubit, reqs, c_factor, codes=tuple(codes), factory_bounds=_INTERLOCK_BOUNDS
+            )
+        except (NoFactoryError, DistanceCapError, AboveThresholdError):
+            return
     assert est.runtime == est.time_steps * est.step_time
     assert est.factory.duration <= est.runtime
+    padded = picks[:-1]
+    assert len(picks) <= len(compatible) + 1
+    assert len(set(padded)) == len(padded)
 
 
 _FRONTIER_BOUNDS = SearchBounds(max_rounds=2, max_distance=13)
@@ -335,7 +368,8 @@ def _oracle_estimate(name, reqs, c_factor):
     qubit = qubit_preset(name)
     steps = max(1, math.ceil(c_factor * reqs.min_time_steps))
     factory = None
-    for _ in range(5):
+    # One code: a pad for it settles the next pass (the interlock's bound).
+    for _ in range(2):
         target = reqs.logical_budget / (reqs.logical_qubits * steps)
         d = _oracle_distance(qubit, target)
         step_time = (4 * qubit.t_gate + 2 * qubit.t_meas) * d
@@ -347,6 +381,8 @@ def _oracle_estimate(name, reqs, c_factor):
         if factory[1] <= runtime:
             break
         steps = max(steps, math.ceil(factory[1] / step_time))
+    else:
+        raise AssertionError("oracle interlock did not settle in 2 passes")
     if factory is None:
         count = 0
         factory_qubits = 0
