@@ -60,10 +60,12 @@ def format_duration(nanoseconds: float, digits: int = 4) -> str:
 
 
 def format_qubit_count(count: int) -> str:
-    """Large qubit counts read best in millions; small ones stay exact."""
-    if count >= 100_000:
-        return f"{format_sig(count / 1e6)}M"
-    return str(count)
+    """Large qubit counts read best in millions; small ones stay exact, and
+    those whose millions round to a million or more read in scientific notation."""
+    if count < 100_000:
+        return str(count)
+    millions = format_sig(count / 1e6)
+    return f"{millions}M" if float(millions) < 1e6 else format_sig(count)
 
 
 def format_percent(fraction: float) -> str:

@@ -44,10 +44,6 @@ F_ACCOUNTING = f"per-final-round-{100 * ACCOUNTING_CONFIDENCE:g}pct"
 
 _PROVISION_LIMIT = 10**9
 
-# A unit's output error per unit of Clifford error inside it: the output
-# error never falls below this times the Clifford error.
-_CLIFFORD_COEFFICIENT = 7.1
-
 
 class UnitKind(enum.Enum):
     """Distillation unit layout."""
@@ -89,7 +85,7 @@ def unit_output_error(input_error: float, clifford_error: float) -> tuple[float,
             "formula out of validity range: acceptance probability is not positive "
             f"(input error {input_error:.3g}, clifford error {clifford_error:.3g})"
         )
-    output = 35.0 * input_error**3 + _CLIFFORD_COEFFICIENT * clifford_error
+    output = 35.0 * input_error**3 + 7.1 * clifford_error
     return output, acceptance
 
 
@@ -318,10 +314,6 @@ class _Unit(NamedTuple):
     clifford_error: float
 
 
-# Relative slack on a subtree's error bound, against rounding in the chain.
-_BOUND_SLACK = 1e-9
-
-
 class _Sweep:
     """The Pareto staircase of one (qubit, code, bounds), settled on demand.
 
@@ -345,10 +337,18 @@ class _Sweep:
     entry of equal cost, so exact entries pop in cost order, and one whose
     error is below the last member's joins the staircase.
 
-    A node is neither provisioned nor expanded once its subtree cannot beat
-    the last member: the chain at the subtree's largest distances bounds
-    its error from below. No factory errs below ``7.1 * p`` at the smallest
-    logical error ``p``, so a member at that floor finishes the sweep.
+    A node is neither provisioned nor expanded once its error bound is at
+    or above the last member's error. The bound is attained: it is the
+    chain of the subtree's configuration with every position up to the
+    cursor at the subtree's largest distance. No other configuration's
+    float error is lower, since (P1) a logical unit's Clifford error
+    ``a * r**((d + 1) / 2)``, ``0 < r < 1``, never rises with ``d``, and
+    (P2) :func:`unit_output_error` never falls when an input rises: IEEE
+    ``+`` and ``*`` by a positive constant are monotone, and the normal
+    cubes of adjacent doubles lie at least 1.5 ULP apart, so a libm ``pow``
+    within 0.75 ULP keeps them in order. Nor does the sweep need a stopping
+    rule: once a member reaches ``7.1 * p`` at the top distance's logical
+    error ``p``, every bound left is at or above it, and the heap drains.
     """
 
     def __init__(
@@ -377,20 +377,15 @@ class _Sweep:
         ]
         self._max_final = bounds.max_final_copies
         self.factories: list[TFactory] = []  # the members, in cost order
+        self._best = inf  # the last member's error, which a new member must beat
         self._heap: list[tuple] = []
         self._chains: dict[tuple, tuple[float, tuple] | None] = {}
         self._order = count()
         # SearchBounds keeps an odd distance in range, so ``distances`` is not empty.
         self._top = distances[-1]
-        self._floor = _CLIFFORD_COEFFICIENT * patches[self._top].logical_error
         for shape, (prefix, tables) in enumerate(self._shapes):
             units = prefix + tuple(table[distances[0]] for table in tables)
             self._push(shape, (distances[0],) * len(tables), len(tables) - 1, units)
-
-    @property
-    def _best(self) -> float:
-        """The last member's error, which a new member must beat."""
-        return self.factories[-1].output_error if self.factories else inf
 
     def _chain(self, shape: int, distances: tuple[int, ...]) -> tuple[float, tuple] | None:
         """Output error and round acceptances of the shape's rounds up to
@@ -421,8 +416,8 @@ class _Sweep:
         reach = self._chain(shape, (top,) * (cursor + 1) + distances[cursor + 1 :])
         if reach is None:
             return  # nor is any descendant's chain valid
-        floor = reach[0] * (1.0 - _BOUND_SLACK)
-        if floor >= self._best:
+        bound = reach[0]
+        if bound >= self._best:
             return
         copies, qubits = 1, units[-1].qubits
         for acceptance, u in zip(reach[1][-2::-1], units[-2::-1]):
@@ -431,7 +426,7 @@ class _Sweep:
             copies = max(required, int((required - 1) / acceptance * (1.0 - 1e-12)) + 1)
             qubits = max(qubits, copies * u.qubits)
         duration = sum([u.duration for u in units])
-        entry = (qubits * duration, 0, next(self._order), floor, shape, distances, cursor, units)
+        entry = (qubits * duration, 0, next(self._order), bound, shape, distances, cursor, units)
         heappush(self._heap, entry)
 
     def _provision(
@@ -478,11 +473,10 @@ class _Sweep:
             if error < self._best:
                 rounds = [TFactoryRound(unit=u.spec, copies=c) for u, c in zip(units, copies)]
                 self.factories.append(evaluate_factory(rounds, self.qubit))
-                if error <= self._floor:
-                    self._heap.clear()
+                self._best = error
             return
-        floor, shape, distances, cursor, units = entry[3:]
-        if floor >= self._best:
+        bound, shape, distances, cursor, units = entry[3:]
+        if bound >= self._best:
             return
         self._provision(shape, distances, units)
         tables = self._shapes[shape][1]

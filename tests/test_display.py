@@ -1,8 +1,9 @@
-"""Duration display: the unit is chosen after rounding."""
+"""Duration display: the unit is chosen after rounding. Qubit counts:
+millions until they would round to a million millions."""
 
 import pytest
 
-from qre.display import format_duration
+from qre.display import format_duration, format_qubit_count
 
 
 @pytest.mark.parametrize(
@@ -21,3 +22,18 @@ from qre.display import format_duration
 )
 def test_format_duration(nanoseconds, expected):
     assert format_duration(nanoseconds) == expected
+
+
+@pytest.mark.parametrize(
+    "count, expected",
+    [
+        (99_999, "99999"),
+        (100_000, "0.1M"),
+        (8_596_020, "8.6M"),
+        (949_999_999_999, "950000M"),
+        (999_999_999_999, "1.0e+12"),
+        (2_176_606_250_000_199_549, "2.2e+18"),
+    ],
+)
+def test_format_qubit_count(count, expected):
+    assert format_qubit_count(count) == expected

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qre import (
     BUILTIN_CODES,
@@ -26,7 +28,8 @@ from qre import (
     search_factory,
     unit_output_error,
 )
-from qre.distillation import _Sweep, _sweep, provisioned_copies, reliable_outputs
+from qre.bounds import BOUNDS
+from qre.distillation import _sweep, provisioned_copies, reliable_outputs
 
 SE = UnitKind.SPACE_EFFICIENT
 RM = UnitKind.RM_PREP
@@ -268,18 +271,32 @@ class TestSearch:
         q = qubit_preset("ns-e4")
         assert search_factory(q, SURFACE_GATE, math.inf) == search_factory(q, SURFACE_GATE, 1.0)
 
-    def test_sweep_floor_is_the_unit_error_at_the_top_distance(self):
-        """The sweep stops at the error no unit beats: a unit's output with
-        error-free inputs at the top distance's Clifford error."""
-        bounds = SearchBounds()
+    def test_sweep_premise_clifford_errors_never_rise_with_distance(self):
+        """P1 of the sweep's exact pruning, on every preset sweep, at every
+        factory distance the bounds allow: so at the default bounds and the caps."""
+        lo, hi = BOUNDS["factory_distance"]
+        distances = [d for d in range(lo, hi + 1) if d % 2]
         for name in qubit_preset_names():
             q = qubit_preset(name)
             for code in BUILTIN_CODES:
-                if code.instruction_set is not q.instruction_set:
-                    continue
-                sweep = _Sweep(q, code, bounds)
-                p_top = patch(code, q, bounds.max_distance).logical_error
-                assert sweep._floor == unit_output_error(0.0, p_top)[0]
+                if code.instruction_set is q.instruction_set:
+                    errors = [patch(code, q, d).logical_error for d in distances]
+                    assert errors == sorted(errors, reverse=True), (name, code.name)
+
+    @given(q=st.floats(1e-300, 0.066), c=st.floats(0.0, 1e-3))
+    @example(q=1.7e-108, c=0.0)  # the cube underflows
+    @settings(deadline=None, derandomize=True, max_examples=1000)
+    def test_sweep_premise_unit_error_never_falls_as_an_input_rises(self, q, c):
+        """P2 of the sweep's exact pruning, on this platform's libm ``pow``."""
+        try:
+            error = unit_output_error(q, c)[0]
+            raised = (
+                unit_output_error(math.nextafter(q, 1.0), c)[0],
+                unit_output_error(q, math.nextafter(c, 1.0))[0],
+            )
+        except ValidityRangeError:
+            assume(False)
+        assert min(raised) >= error
 
     def test_bounds_validation(self):
         with pytest.raises(ParameterError):

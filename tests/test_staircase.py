@@ -17,7 +17,7 @@ from bisect import bisect_left
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qre
@@ -254,7 +254,7 @@ def _custom_search(draw):
     before anything is built, so an invalid draw only rejects the example."""
     majorana = draw(st.booleans())
     instruction_set = InstructionSet.MAJORANA if majorana else InstructionSet.GATE_BASED
-    p_clifford = 10 ** draw(st.floats(-6.0, -3.0))
+    p_clifford = 10 ** draw(st.floats(-12.0, -3.0))
     qubit_fields = dict(
         name="custom",
         instruction_set=instruction_set,
@@ -266,8 +266,10 @@ def _custom_search(draw):
     code_fields = dict(
         name="custom",
         instruction_set=instruction_set,
-        error_prefactor=draw(st.floats(0.01, 0.3)),
-        threshold=min(0.5, p_clifford * 10 ** draw(st.floats(0.7, 2.5))),
+        error_prefactor=10 ** draw(st.floats(-6.0, math.log10(0.3))),
+        # Down to 1 + 1e-12 times p_clifford: near-equal Clifford errors
+        # across distances, where the sweep's pruning meets near ties.
+        threshold=min(0.5, p_clifford * (1 + 10 ** draw(st.floats(-12.0, 2.5)))),
         tile_quadratic=draw(st.integers(0, 4)),
         tile_linear=draw(st.integers(-8, 8)),
         tile_constant=draw(st.integers(-20, 20)),
@@ -292,6 +294,15 @@ def _custom_search(draw):
 
 
 @given(search=_custom_search())
+# A T-state error near the formula's edge: 16 provisionings diverge, and
+# 24 evaluable candidates leave 6 members.
+@example(
+    search=(
+        qubit_preset("ns-e4")._replace(p_t=0.066595466),
+        SURFACE_GATE,
+        SearchBounds(max_rounds=2, max_distance=9, max_final_copies=3),
+    )
+)
 @settings(deadline=None, derandomize=True, max_examples=60)
 def test_custom_search_matches_brute_force_scan(search):
     qubit, code, bounds = search
