@@ -119,7 +119,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "validate":
         print("ok", flush=True)
         return 0
-    if args.command == "frontier" and job.frontier_factors is None:
+    if args.command == "frontier" and "frontier_factors" not in job.echo:
         raise SchemaError("frontier needs --factors or frontier_factors in the job")
     print(render(run(job), args.format), flush=True)
     return 0

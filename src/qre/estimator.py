@@ -113,7 +113,8 @@ def estimate(
     # settles whenever a later pass picks it again. Each pass that does not
     # settle thus pads for a new code, and at most len(compatible) + 1 passes
     # run. The raise below guards these premises and is not a tuned limit.
-    for _ in range(len(codes) + 1):
+    passes = sum(c.instruction_set is qubit.instruction_set for c in codes) + 1
+    for _ in range(passes):
         per_step_target = requirements.logical_budget / (
             requirements.logical_qubits * steps
         )
@@ -131,7 +132,7 @@ def estimate(
         steps = int(-(-factory.duration // step_time))
     else:
         raise EstimatorError(
-            f"schedule and factory did not settle in {len(codes) + 1} passes "
+            f"schedule and factory did not settle in {passes} passes "
             f"(factory {format_duration(factory.duration)}, runtime {format_duration(runtime)})"
         )
 

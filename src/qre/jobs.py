@@ -174,13 +174,13 @@ _DEFAULT_ISING_BUDGET = 1e-3
 
 
 class JobSpec(NamedTuple):
-    """A fully resolved job, ready for :func:`qre.report.run`."""
+    """A fully resolved job, ready for :func:`qre.report.run`. It runs its
+    ``frontier_factors`` if given, else its ``c_factor``, else 1.0."""
 
     qubit: PhysicalQubitParams
     requirements: LogicalRequirements
     notes: tuple[str, ...]
-    c_factor: float
-    frontier_factors: tuple[float, ...] | None
+    factors: tuple[float, ...]
     distance_cap: int
     factory_bounds: SearchBounds
     codes: tuple[QecCodeModel, ...]
@@ -329,17 +329,13 @@ def parse_job(obj: Any) -> JobSpec:
         _at(_pointer("codes", i), _code, code) for i, code in enumerate(job.get("codes", ()))
     )
     factory_bounds = _at("/overrides/factory", SearchBounds, **overrides.get("factory", {}))
-
-    frontier_factors = None
-    if "frontier_factors" in job:
-        frontier_factors = tuple(float(f) for f in job["frontier_factors"])
+    factors = job.get("frontier_factors", [job.get("c_factor", 1.0)])
 
     return JobSpec(
         qubit=qubit,
         requirements=requirements,
         notes=notes,
-        c_factor=float(job.get("c_factor", 1.0)),
-        frontier_factors=frontier_factors,
+        factors=tuple(float(f) for f in factors),
         distance_cap=overrides.get("max_code_distance", DEFAULT_DISTANCE_CAP),
         factory_bounds=factory_bounds,
         codes=codes,

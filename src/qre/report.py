@@ -9,7 +9,7 @@ physical qubits, run time.
 
 import io
 import json
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from ._version import __version__
 from .display import format_duration, format_percent, format_qubit_count
@@ -20,28 +20,23 @@ from .jobs import JobSpec
 
 
 class Report(NamedTuple):
-    version: str
-    job: Any
+    """A parsed job and the estimates :func:`run` made of it."""
+
+    job: JobSpec
     estimates: tuple[PhysicalEstimate, ...]
-    notes: tuple[str, ...]
 
 
 def run(job: JobSpec) -> Report:
-    """Execute a job: its frontier sweep, or one estimate at its ``c_factor``."""
+    """Execute a job: one estimate per stretch factor in ``job.factors``."""
     estimates = frontier(
         job.qubit,
         job.requirements,
-        job.frontier_factors or (job.c_factor,),
+        job.factors,
         codes=job.codes,
         distance_cap=job.distance_cap,
         factory_bounds=job.factory_bounds,
     )
-    return Report(
-        version=__version__,
-        job=job.echo,
-        estimates=estimates,
-        notes=job.notes,
-    )
+    return Report(job, estimates)
 
 
 def render(report: Report, format: str = "json") -> str:
@@ -55,9 +50,9 @@ def render(report: Report, format: str = "json") -> str:
 
 def _render_json(report: Report) -> str:
     payload = {
-        "version": report.version,
-        "job": report.job,
-        "notes": list(report.notes),
+        "version": __version__,
+        "job": report.job.echo,
+        "notes": list(report.job.notes),
         "estimates": [_estimate_json(e) for e in report.estimates],
     }
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))
@@ -130,8 +125,7 @@ def _render_md(report: Report) -> str:
         f"Factory counts use {F_ACCOUNTING} accounting; counterparts under "
         "other accountings may differ by +-1."
     )
-    for note in report.notes:
-        lines.append(f"Note: {note}.")
+    lines.extend(f"Note: {note}." for note in report.job.notes)
     return "\n".join(lines)
 
 

@@ -1,10 +1,12 @@
 """End-to-end physical resource estimates."""
 
+import itertools
 import math
 
 import pytest
 
 from qre import (
+    BUILTIN_CODES,
     BudgetSplit,
     EstimatorError,
     LogicalRequirements,
@@ -241,20 +243,23 @@ class TestInterlock:
 
     def test_unsettled_interlock_raises(self, monkeypatch):
         # A distance that shrinks as steps grow breaks the bound's premise.
+        # The guard allows one pass per code the qubit can run, plus one:
+        # ns-e4 runs one of the three built-in codes, so two passes either way.
         from qre import estimator
 
-        distances = iter((5, 3))
-        passes = []
+        for codes in ((SURFACE_GATE,), BUILTIN_CODES):
+            distances = itertools.cycle((5, 3))
+            passes = []
 
-        def shrinking(qubit, target, codes, cap):
-            code, _ = select_code(qubit, target, codes, cap)
-            passes.append(target)
-            return code, next(distances)
+            def shrinking(qubit, target, codes, cap):
+                code, _ = select_code(qubit, target, codes, cap)
+                passes.append(target)
+                return code, next(distances)
 
-        monkeypatch.setattr(estimator, "select_code", shrinking)
-        with pytest.raises(EstimatorError, match="did not settle in 2 passes") as info:
-            estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2), codes=(SURFACE_GATE,))
-        assert len(passes) == 2 and "\n" not in str(info.value)
+            monkeypatch.setattr(estimator, "select_code", shrinking)
+            with pytest.raises(EstimatorError, match="did not settle in 2 passes") as info:
+                estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2), codes=codes)
+            assert len(passes) == 2 and "\n" not in str(info.value)
 
 
 class TestFrontier:

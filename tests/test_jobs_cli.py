@@ -47,8 +47,7 @@ class TestParse:
         assert job.requirements == application_preset("dynamics").resolve()
         assert job.notes == application_preset("dynamics").notes
         assert job.requirements.logical_qubits == 230
-        assert job.c_factor == 1.0
-        assert job.frontier_factors is None
+        assert job.factors == (1.0,)
 
     def test_ising_application(self):
         job = parse_job(
@@ -123,7 +122,23 @@ class TestParse:
 
     def test_frontier_factors(self):
         job = parse_job(_job(frontier_factors=[1, 2, 4]))
-        assert job.frontier_factors == (1.0, 2.0, 4.0)
+        assert job.factors == (1.0, 2.0, 4.0)
+
+    @pytest.mark.parametrize(
+        ("extra", "factors"),
+        [
+            ({"c_factor": 3}, (3.0,)),
+            ({"frontier_factors": [1, 2.5]}, (1.0, 2.5)),
+            ({"c_factor": 3, "frontier_factors": [1, 2.5]}, (1.0, 2.5)),
+        ],
+        ids=["c_factor", "frontier", "both"],
+    )
+    def test_factors_rule(self, extra, factors):
+        """A job runs its frontier_factors when it has them, else its
+        c_factor, else 1 (test_preset_job); every factor is a float."""
+        job = parse_job(_job(**extra))
+        assert job.factors == factors
+        assert all(type(f) is float for f in job.factors)
 
     def test_overrides(self):
         job = parse_job(
@@ -253,7 +268,7 @@ def test_edge_split_runs_as_estimate_does(tmp_path, capsys, app):
     assert main(["estimate", "--job", _write(tmp_path, obj)]) == 0
     preset = application_preset(app)
     est = estimate(qubit_preset("ns-e4"), preset.resolve(split))
-    report = Report(qre.__version__, obj, (est,), preset.notes)
+    report = Report(parse_job(obj), (est,))
     assert capsys.readouterr().out == render(report) + "\n"
 
 
@@ -424,9 +439,20 @@ class TestCli:
             pipes = re.findall(r"(?<!\\)(?:\\\\)*\|", row)
             assert len(pipes) == header.count("|")
 
-    def test_frontier_needs_factors(self, factoring_job, capsys):
-        assert main(["frontier", "--job", factoring_job]) == 2
-        assert "frontier needs --factors" in capsys.readouterr().err
+    def test_frontier_needs_factors(self, factoring_job, tmp_path, capsys):
+        """A job with no factors, or only a c_factor, has no sweep to run."""
+        for path in (factoring_job, _write(tmp_path, _job(c_factor=3), "c_factor.json")):
+            assert main(["frontier", "--job", path]) == 2
+            assert capsys.readouterr().err == (
+                "error: frontier needs --factors or frontier_factors in the job (at /)\n"
+            )
+
+    def test_estimate_runs_the_frontier_factors_over_c_factor(self, tmp_path, capsys):
+        """Both commands sweep a job's frontier_factors; its c_factor is ignored."""
+        path = _write(tmp_path, _job(c_factor=3, frontier_factors=[1, 2.5, 8]))
+        assert main(["estimate", "--job", path]) == 0
+        estimates = json.loads(capsys.readouterr().out)["estimates"]
+        assert [e["c_factor"] for e in estimates] == [1.0, 2.5, 8.0]
 
     def test_factor_flag_replaces_the_job_list(self, tmp_path, capsys):
         """``--factors`` is written into the job, so the report echoes what ran."""

@@ -18,7 +18,7 @@ def _blocks(language):
 def test_library_block_runs(capsys):
     (block,) = _blocks("python")
     exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out.splitlines()[-1] == "0.0005 0.00025"
+    assert capsys.readouterr().out.splitlines()[-2:] == ["(1.0, 2.5)", "0.0005 0.00025"]
 
 
 @pytest.mark.parametrize("block", _blocks("json"))

@@ -254,34 +254,43 @@ def _custom_search(draw):
     before anything is built, so an invalid draw only rejects the example."""
     majorana = draw(st.booleans())
     instruction_set = InstructionSet.MAJORANA if majorana else InstructionSet.GATE_BASED
-    p_clifford = 10 ** draw(st.floats(-12.0, -3.0))
-    qubit_fields = dict(
-        name="custom",
-        instruction_set=instruction_set,
-        t_meas=draw(st.integers(1, 1000)),
-        p_clifford=p_clifford,
-        p_t=10 ** draw(st.floats(-4.5, -1.3)),
-        t_gate=None if majorana else draw(st.integers(1, 1000)),
-    )
-    code_fields = dict(
-        name="custom",
-        instruction_set=instruction_set,
-        error_prefactor=10 ** draw(st.floats(-6.0, math.log10(0.3))),
-        # Down to 1 + 1e-12 times p_clifford: near-equal Clifford errors
-        # across distances, where the sweep's pruning meets near ties.
-        threshold=min(0.5, p_clifford * (1 + 10 ** draw(st.floats(-12.0, 2.5)))),
-        tile_quadratic=draw(st.integers(0, 4)),
-        tile_linear=draw(st.integers(-8, 8)),
-        tile_constant=draw(st.integers(-20, 20)),
-        step_gate_factor=0 if majorana else draw(st.integers(0, 6)),
-        step_meas_factor=draw(st.integers(0, 20)),
-    )
     min_distance = draw(st.sampled_from((3, 4, 5, 7)))
     bounds_fields = dict(
         max_rounds=draw(st.integers(1, 3)),
         min_distance=min_distance,
         max_distance=draw(st.integers(min_distance, 13)),
         max_final_copies=draw(st.integers(1, 3)),
+    )
+    # Some final round of at most max_final_copies units promises a state at
+    # 99% only if a unit's acceptance, 1 - 15 q - 356 p, is at least 1 - room.
+    room = 0.01 ** (1 / bounds_fields["max_final_copies"])
+    p_clifford = 10 ** draw(st.floats(-12.0, -3.0))
+    # Down to 1 + 1e-12 times p_clifford: near-equal Clifford errors
+    # across distances, where the sweep's pruning meets near ties.
+    gap = 10 ** draw(st.floats(-12.0, 2.5))
+    # Near a tie a unit's Clifford error p = a * r**k barely falls with the
+    # distance, so a prefactor a above room / 356 leaves no factory to find.
+    max_prefactor = room / 356 if gap < 1 else 0.3
+    # A one-round factory's input error q is p_t itself.
+    max_p_t = room / 15 if bounds_fields["max_rounds"] == 1 else 10**-1.3
+    qubit_fields = dict(
+        name="custom",
+        instruction_set=instruction_set,
+        t_meas=draw(st.integers(1, 1000)),
+        p_clifford=p_clifford,
+        p_t=10 ** draw(st.floats(-4.5, math.log10(max_p_t))),
+        t_gate=None if majorana else draw(st.integers(1, 1000)),
+    )
+    code_fields = dict(
+        name="custom",
+        instruction_set=instruction_set,
+        error_prefactor=10 ** draw(st.floats(-6.0, math.log10(max_prefactor))),
+        threshold=min(0.5, p_clifford * (1 + gap)),
+        tile_quadratic=draw(st.integers(0, 4)),
+        tile_linear=draw(st.integers(-8, 8)),
+        tile_constant=draw(st.integers(-20, 20)),
+        step_gate_factor=0 if majorana else draw(st.integers(0, 6)),
+        step_meas_factor=draw(st.integers(0, 20)),
     )
     try:
         return (
