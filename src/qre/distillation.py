@@ -422,7 +422,10 @@ class _Sweep:
         copies, qubits = 1, units[-1].qubits
         for acceptance, u in zip(reach[1][-2::-1], units[-2::-1]):
             required = 15 * copies
-            # More than (required - 1) / acceptance, less a rounding slack.
+            # More than q = (required - 1) / acceptance, as a round of m copies
+            # delivers at most ceil(m * acceptance). The float quotient is within
+            # 2**-53 of q, relative, so less the 1e-12 slack it stays below q, and
+            # int() + 1 never exceeds the least m > q.
             copies = max(required, int((required - 1) / acceptance * (1.0 - 1e-12)) + 1)
             qubits = max(qubits, copies * u.qubits)
         duration = sum([u.duration for u in units])

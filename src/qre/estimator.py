@@ -32,7 +32,16 @@ class PhysicalEstimate(NamedTuple):
     time_steps: int
     runtime: int
     factory: TFactory | None
-    factory_count: int
+
+    @property
+    def factory_count(self) -> int:
+        """Copies that meet the T-state demand over the runtime; at least one,
+        since a tiny count's demand underflows to 0."""
+        f = self.factory
+        if f is None:
+            return 0
+        demand = self.requirements.t_states * f.duration / (f.output_count * self.runtime)
+        return max(1, math.ceil(demand))
 
     @property
     def step_time(self) -> int:
@@ -104,8 +113,6 @@ def estimate(
     check("stretch", c_factor, "schedule stretch factor")
     c_factor = float(c_factor)
     steps = max(1, math.ceil(c_factor * requirements.min_time_steps))
-    target_t_error = requirements.max_t_state_error
-    factory: TFactory | None = None
     # The bound is proved: the factory depends only on the code, since its
     # target is per T state and not per step. A pad sets steps to
     # ceil(D_f / tau(d)), and padding only ever raises steps. At more steps a
@@ -120,38 +127,21 @@ def estimate(
         )
         code, distance = select_code(qubit, per_step_target, codes, distance_cap)
         step_time = code.step_time(qubit, distance)
-        runtime = step_time * steps
-        if requirements.t_states <= 0:
-            break
-        factory = search_factory(qubit, code, target_t_error, factory_bounds)
-        if factory.duration <= runtime:
-            break
+        factory = None
+        if requirements.t_states > 0:
+            factory = search_factory(qubit, code, requirements.max_t_state_error, factory_bounds)
+        est = PhysicalEstimate(
+            qubit, requirements, c_factor, code, distance, steps, step_time * steps, factory
+        )
+        if factory is None or factory.duration <= est.runtime:
+            return est
         # A factory slower than the whole schedule would starve the
         # algorithm; pad the schedule and re-settle the distance. The exact
         # ceiling, kept an int for a library caller's fractional durations.
         steps = int(-(-factory.duration // step_time))
-    else:
-        raise EstimatorError(
-            f"schedule and factory did not settle in {passes} passes "
-            f"(factory {format_duration(factory.duration)}, runtime {format_duration(runtime)})"
-        )
-
-    if factory is None:
-        factory_count = 0
-    else:
-        demand = requirements.t_states * factory.duration / (factory.output_count * runtime)
-        # At least one: for a tiny T-state count the demand underflows to 0.
-        factory_count = max(1, math.ceil(demand))
-    return PhysicalEstimate(
-        qubit=qubit,
-        requirements=requirements,
-        c_factor=c_factor,
-        code=code,
-        distance=distance,
-        time_steps=steps,
-        runtime=runtime,
-        factory=factory,
-        factory_count=factory_count,
+    raise EstimatorError(
+        f"schedule and factory did not settle in {passes} passes "
+        f"(factory {format_duration(factory.duration)}, runtime {format_duration(est.runtime)})"
     )
 
 

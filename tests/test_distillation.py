@@ -1,6 +1,7 @@
 """Distillation units, factory evaluation, and the factory search."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,6 +29,7 @@ from qre import (
     search_factory,
     unit_output_error,
 )
+from qre import distillation
 from qre.bounds import BOUNDS
 from qre.distillation import _sweep, provisioned_copies, reliable_outputs
 
@@ -37,6 +39,20 @@ RM = UnitKind.RM_PREP
 
 def _logical(kind, code, qubit, distance):
     return DistillationUnitSpec(kind=kind, patch=patch(code, qubit, distance))
+
+
+def _outputs_within_mean_ceiling(copies, acceptance):
+    """The cost bound's premise: ``reliable_outputs(m, a) <= ceil(m * a)``, exactly."""
+    return reliable_outputs(copies, acceptance) <= math.ceil(copies * Fraction(acceptance))
+
+
+def _copy_floor(required, acceptance):
+    """``_Sweep._push``'s lower bound on the copies that deliver ``required``
+    states; asserts that its slackened quotient never passes the least
+    integer above the exact ``(required - 1) / acceptance``."""
+    floor = int((required - 1) / acceptance * (1.0 - 1e-12)) + 1
+    assert floor <= math.floor(Fraction(required - 1) / Fraction(acceptance)) + 1
+    return max(required, floor)
 
 
 class TestUnitOutputError:
@@ -297,6 +313,50 @@ class TestSearch:
         except ValidityRangeError:
             assume(False)
         assert min(raised) >= error
+
+    def test_sweep_premise_copy_floor_on_every_key_the_sweeps_meet(self, monkeypatch):
+        """The cost bound's premises on every provisioning and output-count key
+        of the preset sweeps run to their ends, at the default bounds and at
+        the caps: 383 and 2 841 keys, with the floor tight on 108 of the 383."""
+        seen = {provisioned_copies: set(), reliable_outputs: set()}
+
+        def recording(real):
+            def call(*key):
+                seen[real].add(key)
+                return real(*key)
+
+            return call
+
+        for real in seen:
+            real.cache_clear()  # a cached provisioning key would hide its probes
+            monkeypatch.setattr(distillation, real.__name__, recording(real))
+        caps = SearchBounds(
+            max_rounds=BOUNDS["max_rounds"][1],
+            max_distance=BOUNDS["factory_distance"][1],
+            max_final_copies=BOUNDS["max_final_copies"][1],
+        )
+        for name in qubit_preset_names():
+            q = qubit_preset(name)
+            for code in BUILTIN_CODES:
+                if code.instruction_set is q.instruction_set:
+                    for bounds in (SearchBounds(), caps):
+                        distillation._Sweep(q, code, bounds).settle(0.0)
+        monkeypatch.undo()
+        assert all(_outputs_within_mean_ceiling(*key) for key in seen[reliable_outputs])
+        floors = {key: _copy_floor(*key) for key in seen[provisioned_copies]}
+        assert all(floors[key] <= provisioned_copies(*key) for key in floors)
+
+    @given(
+        required=st.integers(1, 1500),
+        acceptance=st.floats(0.01, 1.0),
+        copies=st.integers(1, 10**5),
+    )
+    @example(required=15, acceptance=0.5, copies=28)  # an exact integer quotient
+    @example(required=15, acceptance=1.0, copies=15)
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    def test_sweep_premise_copy_floor_on_draws(self, required, acceptance, copies):
+        assert _outputs_within_mean_ceiling(copies, acceptance)
+        assert _copy_floor(required, acceptance) <= provisioned_copies(required, acceptance)
 
     def test_bounds_validation(self):
         with pytest.raises(ParameterError):

@@ -23,6 +23,7 @@ from qre import (
     qubit_preset,
     qubit_preset_names,
     run,
+    search_factory,
     select_code,
 )
 from threaded import threaded_frontier
@@ -142,15 +143,20 @@ class TestSingleEstimate:
         assert est.physical_qubits == 113_980
 
     def test_qubit_accounting_is_conserved(self):
-        # The total is derived from its two shares, not stored beside them.
+        # The total and the factory count are derived, not stored beside their inputs.
         assert "physical_qubits" not in PhysicalEstimate._fields
-        for qubit in qubit_preset_names():
-            for app in application_preset_names():
-                est = estimate(qubit_preset(qubit), application_preset(app).resolve())
-                assert est.algorithm_qubits == est.requirements.logical_qubits * est.tile_qubits
-                assert est.factory_qubits == est.factory_count * est.factory.qubit_count
-                assert est.physical_qubits == est.algorithm_qubits + est.factory_qubits
-                assert 0 < est.factory_fraction < 1
+        assert "factory_count" not in PhysicalEstimate._fields
+        for qubit, app, c in itertools.product(
+            qubit_preset_names(), application_preset_names(), (1, 2, 4, 8)
+        ):
+            est = estimate(qubit_preset(qubit), application_preset(app).resolve(), c)
+            f = est.factory
+            demand = est.requirements.t_states * f.duration / (f.output_count * est.runtime)
+            assert est.factory_count == max(1, math.ceil(demand))
+            assert est.algorithm_qubits == est.requirements.logical_qubits * est.tile_qubits
+            assert est.factory_qubits == est.factory_count * f.qubit_count
+            assert est.physical_qubits == est.algorithm_qubits + est.factory_qubits
+            assert 0 < est.factory_fraction < 1
 
     def test_error_budget_is_respected(self, dynamics):
         est = estimate(qubit_preset("ns-e4"), dynamics)
@@ -240,6 +246,25 @@ class TestInterlock:
             est.factory.duration,
             est.factory_count,
         ) == settled
+
+    def test_every_preset_settles_in_one_pass(self, monkeypatch):
+        """One factory search per estimate over the 72 preset estimates: six
+        qubits, three workloads, stretch 1, 2, 4 and 8."""
+        from qre import estimator
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return search_factory(*args)
+
+        monkeypatch.setattr(estimator, "search_factory", counting)
+        for qubit, app, c in itertools.product(
+            qubit_preset_names(), application_preset_names(), (1, 2, 4, 8)
+        ):
+            calls.clear()
+            estimate(qubit_preset(qubit), application_preset(app).resolve(), c)
+            assert len(calls) == 1, (qubit, app, c)
 
     def test_unsettled_interlock_raises(self, monkeypatch):
         # A distance that shrinks as steps grow breaks the bound's premise.
