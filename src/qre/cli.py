@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fro.add_argument("--format", choices=RENDERERS, default="csv")
 
     pre = sub.add_parser("presets", help="list built-in presets")
-    pre.add_argument("kind", nargs="?", choices=["qubits", "apps", "codes"])
+    pre.add_argument("kind", nargs="?", choices=_PRESET_LISTS)
 
     val = sub.add_parser("validate", help="validate a job file and exit")
     val.add_argument("--job", required=True, help="path to a JSON job file")
@@ -91,22 +91,24 @@ def _describe_qubit(name: str) -> str:
     return " ".join(parts)
 
 
+# Section name -> its listing lines; `qre presets` prints them in this order,
+# and its section choices are the keys.
+_PRESET_LISTS = {
+    "qubits": lambda: (f"  {name:<12} {_describe_qubit(name)}" for name in qubit_preset_names()),
+    "apps": lambda: (
+        f"  {name:<12} {application_preset(name).description}"
+        for name in application_preset_names()
+    ),
+    "codes": lambda: (f"  {code.name:<14} {code.instruction_set.value}" for code in BUILTIN_CODES),
+}
+
+
 def _cmd_presets(kind: str | None) -> int:
-    sections = []
-    if kind in (None, "qubits"):
-        lines = [f"  {name:<12} {_describe_qubit(name)}" for name in qubit_preset_names()]
-        sections.append("qubits:\n" + "\n".join(lines))
-    if kind in (None, "apps"):
-        lines = []
-        for name in application_preset_names():
-            preset = application_preset(name)
-            lines.append(f"  {name:<12} {preset.description}")
-        sections.append("apps:\n" + "\n".join(lines))
-    if kind in (None, "codes"):
-        lines = [
-            f"  {code.name:<14} {code.instruction_set.value}" for code in BUILTIN_CODES
-        ]
-        sections.append("codes:\n" + "\n".join(lines))
+    sections = [
+        f"{name}:\n" + "\n".join(lines())
+        for name, lines in _PRESET_LISTS.items()
+        if kind in (None, name)
+    ]
     print("\n\n".join(sections), flush=True)
     return 0
 

@@ -112,7 +112,7 @@ def provisioned_copies(required: int, acceptance: float) -> int:
     confidence: the first whose :func:`reliable_outputs` reaches it."""
     if required <= 0:
         return 0
-    lo = hi = required
+    hi = required
     while reliable_outputs(hi, acceptance) < required:
         hi *= 2
         if hi > _PROVISION_LIMIT:
@@ -120,13 +120,9 @@ def provisioned_copies(required: int, acceptance: float) -> int:
                 f"formula out of validity range: provisioning for {required} "
                 f"successes at acceptance {acceptance:.3g} diverges"
             )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reliable_outputs(mid, acceptance) >= required:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect_left(
+        range(hi), required, lo=required, key=lambda n: reliable_outputs(n, acceptance)
+    )
 
 
 @lru_cache(maxsize=32768)

@@ -76,38 +76,18 @@ class PhysicalQubitParams(NamedTuple):
         return obj
 
 
-def _gate_based(name: str, t_gate: int, t_meas: int, p: float, p_t: float) -> PhysicalQubitParams:
-    return PhysicalQubitParams(
-        name=name,
-        instruction_set=InstructionSet.GATE_BASED,
-        t_meas=t_meas,
-        p_clifford=p,
-        p_t=p_t,
-        t_gate=t_gate,
-    )
-
-
-def _majorana(name: str, t_meas: int, p: float, p_t: float) -> PhysicalQubitParams:
-    return PhysicalQubitParams(
-        name=name,
-        instruction_set=InstructionSet.MAJORANA,
-        t_meas=t_meas,
-        p_clifford=p,
-        p_t=p_t,
-    )
-
-
 # Six built-in operating points spanning slow/fast gate-based hardware at two
-# fidelity levels, plus two measurement-only (Majorana) points.
+# fidelity levels, plus two measurement-only (Majorana) points. Columns: name,
+# instruction set, t_meas (ns), p_clifford, p_t and, gate-based only, t_gate (ns).
 _PRESETS: dict[str, PhysicalQubitParams] = {
     q.name: q
     for q in (
-        _gate_based("us-e3", 100_000, 100_000, 1e-3, 1e-6),
-        _gate_based("us-e4", 100_000, 100_000, 1e-4, 1e-6),
-        _gate_based("ns-e3", 50, 100, 1e-3, 1e-3),
-        _gate_based("ns-e4", 50, 100, 1e-4, 1e-4),
-        _majorana("maj-ns-e4", 100, 1e-4, 0.05),
-        _majorana("maj-ns-e6", 100, 1e-6, 0.01),
+        PhysicalQubitParams("us-e3", InstructionSet.GATE_BASED, 100_000, 1e-3, 1e-6, 100_000),
+        PhysicalQubitParams("us-e4", InstructionSet.GATE_BASED, 100_000, 1e-4, 1e-6, 100_000),
+        PhysicalQubitParams("ns-e3", InstructionSet.GATE_BASED, 100, 1e-3, 1e-3, 50),
+        PhysicalQubitParams("ns-e4", InstructionSet.GATE_BASED, 100, 1e-4, 1e-4, 50),
+        PhysicalQubitParams("maj-ns-e4", InstructionSet.MAJORANA, 100, 1e-4, 0.05),
+        PhysicalQubitParams("maj-ns-e6", InstructionSet.MAJORANA, 100, 1e-6, 0.01),
     )
 }
 

@@ -342,6 +342,7 @@ class TestSearch:
                     for bounds in (SearchBounds(), caps):
                         distillation._Sweep(q, code, bounds).settle(0.0)
         monkeypatch.undo()
+        assert [len(seen[real]) for real in (provisioned_copies, reliable_outputs)] == [383, 2841]
         assert all(_outputs_within_mean_ceiling(*key) for key in seen[reliable_outputs])
         floors = {key: _copy_floor(*key) for key in seen[provisioned_copies]}
         assert all(floors[key] <= provisioned_copies(*key) for key in floors)

@@ -524,17 +524,41 @@ class TestCli:
         assert main(["estimate", "--job", path]) == 1
         assert "above threshold" in capsys.readouterr().err
 
-    def test_presets_listing(self, capsys):
-        assert main(["presets"]) == 0
-        out = capsys.readouterr().out
-        for token in ("qubits:", "apps:", "codes:", "maj-ns-e6", "hastings-haah"):
-            assert token in out
+    @pytest.mark.parametrize("kind", [None, "qubits", "apps", "codes"])
+    def test_presets_output_is_exact(self, capsys, kind):
+        assert main(["presets"] if kind is None else ["presets", kind]) == 0
+        sections = [f"{name}:\n{lines}" for name, lines in _PRESET_SECTIONS.items()]
+        expected = {None: "\n\n".join(sections), **dict(zip(_PRESET_SECTIONS, sections))}
+        assert capsys.readouterr() == (expected[kind] + "\n", "")
 
-    def test_presets_section_filter(self, capsys):
-        assert main(["presets", "apps"]) == 0
-        out = capsys.readouterr().out
-        assert "chemistry" in out
-        assert "hastings-haah" not in out
+    def test_presets_unknown_section(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["presets", "bogus"])
+        assert info.value.code == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: argument kind: invalid choice: 'bogus' (choose from 'qubits', 'apps', 'codes')\n",
+        )
+
+
+# The `qre presets` sections, byte for byte.
+_PRESET_SECTIONS = {
+    "qubits": """\
+  us-e3        gate-based t_gate=100000ns t_meas=100000ns p_clifford=0.001 p_t=1e-06
+  us-e4        gate-based t_gate=100000ns t_meas=100000ns p_clifford=0.0001 p_t=1e-06
+  ns-e3        gate-based t_gate=50ns t_meas=100ns p_clifford=0.001 p_t=0.001
+  ns-e4        gate-based t_gate=50ns t_meas=100ns p_clifford=0.0001 p_t=0.0001
+  maj-ns-e4    majorana   t_meas=100ns p_clifford=0.0001 p_t=0.05
+  maj-ns-e6    majorana   t_meas=100ns p_clifford=1e-06 p_t=0.01""",
+    "apps": """\
+  dynamics     Quantum dynamics of a 10x10 transverse-field Ising lattice
+  chemistry    Ground-state energy of a correlated materials-science Hamiltonian
+  factoring    Factoring a 2048-bit integer (cryptographically relevant RSA size)""",
+    "codes": """\
+  surface-gate   gate-based
+  surface-meas   majorana
+  hastings-haah  majorana""",
+}
 
 
 _INLINE_QUBIT = (

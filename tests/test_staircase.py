@@ -36,6 +36,9 @@ from qre import (
     TFactoryRound,
     UnitKind,
     ValidityRangeError,
+    application_preset,
+    application_preset_names,
+    estimate,
     evaluate_factory,
     frontier,
     patch,
@@ -349,6 +352,18 @@ def test_caches_are_bounded():
     for function in cached:
         assert function.cache_info().maxsize is not None, function.__name__
     assert distillation._sweep.cache_info().maxsize == 32
+
+
+def test_preset_jobs_fill_the_stated_cache_keys():
+    """The figures of the cache-bound comment above ``provisioned_copies``:
+    the 72 preset estimates (six qubits, three workloads, stretch 1, 2, 4
+    and 8) fill 6 sweeps, 13 provisioning and 187 output-count keys."""
+    caches = (distillation._sweep, distillation.provisioned_copies, distillation.reliable_outputs)
+    for cache in caches:
+        cache.cache_clear()
+    for qubit, app, c in product(qubit_preset_names(), application_preset_names(), (1, 2, 4, 8)):
+        estimate(qubit_preset(qubit), application_preset(app).resolve(), c)
+    assert [cache.cache_info().currsize for cache in caches] == [6, 13, 187]
 
 
 def test_parallel_frontier_builds_each_staircase_once(monkeypatch):
