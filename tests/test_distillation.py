@@ -2,13 +2,14 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from qre import (
-    BUILTIN_CODES,
     HASTINGS_HAAH,
     SURFACE_GATE,
     DistillationUnitSpec,
@@ -25,7 +26,6 @@ from qre import (
     evaluate_factory,
     patch,
     qubit_preset,
-    qubit_preset_names,
     search_factory,
     unit_output_error,
 )
@@ -292,12 +292,9 @@ class TestSearch:
         factory distance the bounds allow: so at the default bounds and the caps."""
         lo, hi = BOUNDS["factory_distance"]
         distances = [d for d in range(lo, hi + 1) if d % 2]
-        for name in qubit_preset_names():
-            q = qubit_preset(name)
-            for code in BUILTIN_CODES:
-                if code.instruction_set is q.instruction_set:
-                    errors = [patch(code, q, d).logical_error for d in distances]
-                    assert errors == sorted(errors, reverse=True), (name, code.name)
+        for q, code in reference.PRESET_PAIRS:
+            errors = [patch(code, q, d).logical_error for d in distances]
+            assert errors == sorted(errors, reverse=True), (q.name, code.name)
 
     @given(q=st.floats(1e-300, 0.066), c=st.floats(0.0, 1e-3))
     @example(q=1.7e-108, c=0.0)  # the cube underflows
@@ -335,12 +332,8 @@ class TestSearch:
             max_distance=BOUNDS["factory_distance"][1],
             max_final_copies=BOUNDS["max_final_copies"][1],
         )
-        for name in qubit_preset_names():
-            q = qubit_preset(name)
-            for code in BUILTIN_CODES:
-                if code.instruction_set is q.instruction_set:
-                    for bounds in (SearchBounds(), caps):
-                        distillation._Sweep(q, code, bounds).settle(0.0)
+        for (q, code), bounds in product(reference.PRESET_PAIRS, (SearchBounds(), caps)):
+            distillation._Sweep(q, code, bounds).settle(0.0)
         monkeypatch.undo()
         assert [len(seen[real]) for real in (provisioned_copies, reliable_outputs)] == [383, 2841]
         assert all(_outputs_within_mean_ceiling(*key) for key in seen[reliable_outputs])

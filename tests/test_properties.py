@@ -4,22 +4,27 @@ The fixed-value tests pin the numbers the reference tables publish; the
 suites here cover what those tables leave open: minimality of the selected
 distance, parity and floor, error-budget conservation, factory cost
 accounting, monotonicity of the factory count in the stretch factor,
-frontier determinism, and agreement with a straight-line re-implementation
-of the whole pipeline on small instances.
+frontier determinism, and agreement with ``reference.py``, which reruns the
+whole pipeline from the model's formulas: on every preset qubit with the
+built-in codes and custom ones at small factory bounds, and per code on the
+preset matrix at the default bounds. A test keeps the reference from
+calling the model it checks.
 """
 
-import math
-from functools import lru_cache
-from itertools import combinations_with_replacement, product
+import ast
+from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
 
+import reference
 from qre import (
+    BUILTIN_CODES,
     HASTINGS_HAAH,
     SURFACE_GATE,
+    SURFACE_MEAS,
     AboveThresholdError,
     BudgetSplit,
     DistanceCapError,
@@ -30,6 +35,8 @@ from qre import (
     PhysicalQubitParams,
     QecCodeModel,
     SearchBounds,
+    application_preset,
+    application_preset_names,
     estimate,
     estimator,
     evaluate_factory,
@@ -269,156 +276,104 @@ def test_frontier_parallel_matches_sequential(name, factors):
     assert steps == sorted(steps)
 
 
-# --- Brute-force oracle ------------------------------------------------------
-# A from-scratch rerun of the pipeline: exhaustive scans instead of closed
-# forms and cached searches. Unit cost tables are restated literally.
+# --- Against the reference model, which reruns the pipeline from its formulas --
 
 _ORACLE_BOUNDS = SearchBounds(max_rounds=2, max_distance=9)
-_ORACLE_CONFIDENCE = 0.99
+_QRE_NAMES = {"qubit_preset", "qubit_preset_names", "BUILTIN_CODES", "InstructionSet"}
+_MODEL_METHODS = {"logical_error", "tile_qubits", "step_time", "costs", "_suppression_base"}
 
 
-def _oracle_distance(qubit, target):
-    ratio = qubit.p_clifford / 0.01
-    for d in range(3, 52, 2):
-        if 0.03 * ratio ** ((d + 1) / 2) <= target:
-            return d
-    raise AssertionError("oracle scan ran past the default cap")
-
-
-def _oracle_tail(successes, trials, acceptance):
-    return float(binom.sf(successes - 1, trials, acceptance))
-
-
-def _oracle_copies(required, acceptance):
-    if required <= 0:
-        return 0
-    if acceptance**required >= _ORACLE_CONFIDENCE:
-        return required
-    trials = required
-    while _oracle_tail(required, trials, acceptance) < _ORACLE_CONFIDENCE:
-        trials += 1
-    return trials
-
-
-def _oracle_reliable(copies, acceptance):
-    if acceptance**copies >= _ORACLE_CONFIDENCE:
-        return copies
-    for m in range(copies, 0, -1):
-        if _oracle_tail(m, copies, acceptance) >= _ORACLE_CONFIDENCE:
-            return m
-    return 0
-
-
-@lru_cache(maxsize=None)
-def _oracle_factories(name):
-    """All candidate factories for a gate-based preset, in generation order.
-
-    Each entry is (qubits, duration, output_error, output_count).
-    """
-    qubit = qubit_preset(name)
-    step_ns = 4 * qubit.t_gate + 2 * qubit.t_meas
-    ratio = qubit.p_clifford / 0.01
-    # (qubit factor, duration factor) per unit layout, in search order
-    layouts = ((20, 13), (31, 11))
-    distances = (3, 5, 7, 9)
+def _dependences(source):
+    """What ``source`` takes from qre beyond presets and instruction sets,
+    from the test modules, or from qre's model methods by an attribute call."""
     found = []
-    for rounds in range(1, _ORACLE_BOUNDS.max_rounds + 1):
-        for kinds in product(layouts, repeat=rounds):
-            for combo in combinations_with_replacement(distances, rounds):
-                for final_copies in (1, 2):
-                    error = qubit.p_t
-                    acceptances = []
-                    for d in combo:
-                        patch_error = 0.03 * ratio ** ((d + 1) / 2)
-                        acceptances.append(1.0 - 15.0 * error - 356.0 * patch_error)
-                        error = 35.0 * error**3 + 7.1 * patch_error
-                    copies = [0] * rounds
-                    copies[-1] = final_copies
-                    for i in range(rounds - 2, -1, -1):
-                        copies[i] = _oracle_copies(15 * copies[i + 1], acceptances[i])
-                    delivered = _oracle_reliable(copies[-1], acceptances[-1])
-                    if delivered == 0:
-                        continue
-                    qubits = max(
-                        c * kind[0] * 2 * d * d
-                        for c, (kind, d) in zip(copies, zip(kinds, combo))
-                    )
-                    duration = sum(
-                        kind[1] * step_ns * d for kind, d in zip(kinds, combo)
-                    )
-                    found.append((qubits, duration, error, delivered))
-    return tuple(found)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.partition(".")[0] == "qre"]
+            found += [a.name for a in node.names if a.name.startswith("test_")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.partition(".")[0] == "qre":
+                found += sorted({a.name for a in node.names} - _QRE_NAMES)
+            found += [node.module] if node.module.startswith("test_") else []
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            found += [node.func.attr] if node.func.attr in _MODEL_METHODS else []
+    return found
 
 
-def _oracle_pick(name, target):
-    best = None
-    best_key = None
-    for index, entry in enumerate(_oracle_factories(name)):
-        qubits, duration, error, _ = entry
-        if error > target:
-            continue
-        key = (qubits * duration, qubits, duration, index)
-        if best_key is None or key < best_key:
-            best, best_key = entry, key
-    assert best is not None, "oracle found no factory"
-    return best
+def test_reference_stays_independent_of_the_model():
+    """A reference that calls the code it checks checks nothing."""
+    assert _dependences(Path(reference.__file__).read_text()) == []
+    for source in (
+        "import qre.distillation",
+        "from qre import patch",
+        "from qre.codes import required_distance",
+        "import test_staircase",
+        "from test_staircase import _candidates",
+        "code.logical_error(qubit, 3)",
+        "spec.costs(qubit)",
+    ):
+        assert _dependences(source), source
 
 
-def _oracle_estimate(name, reqs, c_factor):
-    qubit = qubit_preset(name)
-    steps = max(1, math.ceil(c_factor * reqs.min_time_steps))
-    factory = None
-    # One code: a pad for it settles the next pass (the interlock's bound).
-    for _ in range(2):
-        target = reqs.logical_budget / (reqs.logical_qubits * steps)
-        d = _oracle_distance(qubit, target)
-        step_time = (4 * qubit.t_gate + 2 * qubit.t_meas) * d
-        runtime = step_time * steps
-        if reqs.t_states <= 0:
-            factory = None
-            break
-        factory = _oracle_pick(name, reqs.distillation_budget / reqs.t_states)
-        if factory[1] <= runtime:
-            break
-        steps = max(steps, math.ceil(factory[1] / step_time))
-    else:
-        raise AssertionError("oracle interlock did not settle in 2 passes")
-    if factory is None:
-        count = 0
-        factory_qubits = 0
-    else:
-        count = math.ceil(reqs.t_states * factory[1] / (factory[3] * runtime))
-        factory_qubits = count * factory[0]
-    physical = factory_qubits + reqs.logical_qubits * 2 * d * d
-    return d, steps, runtime, count, physical, factory
+def _summary(est):
+    """An estimate in the reference's terms."""
+    f = est.factory
+    rounds = f and tuple((r.unit.kind.value, r.unit.distance, r.copies) for r in f.rounds)
+    factory = f and (f.output_error, f.qubit_count, f.duration, f.output_count, rounds)
+    fields = est.distance, est.time_steps, est.runtime, est.factory_count, est.physical_qubits
+    return est.code, *fields, factory
+
+
+def _differential(qubit, reqs, c_factor, codes, bounds):
+    """qre's estimate, which must be the reference's or fail as it does."""
+    expected = reference.estimate(qubit, reqs, c_factor, codes, bounds)
+    try:
+        est = estimate(qubit, reqs, c_factor, codes=codes, factory_bounds=bounds)
+    except (NoFactoryError, DistanceCapError, AboveThresholdError) as error:
+        assert expected == type(error).__name__
+        return None
+    assert _summary(est) == expected
+    return est
+
+
+def test_per_code_estimates_match_the_reference():
+    """Every preset cell at stretch 1, 2, 4 and 8, run with each compatible
+    code alone at the default bounds. On maj-ns-e6, surface-meas alone needs
+    fewer qubits and a longer run in all 12 cells than the default estimate,
+    whose code is hastings-haah."""
+    slimmer = 0
+    for qubit, code in reference.PRESET_PAIRS:
+        for app, c_factor in product(application_preset_names(), (1, 2, 4, 8)):
+            reqs = application_preset(app).resolve()
+            est = _differential(qubit, reqs, c_factor, (code,), SearchBounds())
+            assert est is not None, (qubit.name, code.name, app, c_factor)
+            if qubit.name == "maj-ns-e6" and code is SURFACE_MEAS:
+                default = estimate(qubit, reqs, c_factor)
+                assert default.code is HASTINGS_HAAH
+                assert est.physical_qubits < default.physical_qubits
+                assert est.runtime > default.runtime
+                slimmer += 1
+    assert slimmer == 12
 
 
 @given(
-    name=st.sampled_from(("us-e4", "ns-e4")),
+    name=st.sampled_from(_PRESET_NAMES),
+    custom=st.lists(_custom_code(), max_size=2),
     logical_qubits=st.integers(2, 50),
     min_steps=st.integers(10, 5000),
     t_states=st.one_of(st.just(0), st.integers(1, 2000)),
     budget=st.floats(1e-3, 0.1),
     c_factor=st.floats(1.0, 4.0),
 )
+# A Majorana preset; a custom code with half surface-gate's tile, which wins;
+# and a target below every factory of the small bounds.
+@example("maj-ns-e4", [], 20, 1000, 1000, 0.01, 1.0)
+@example(
+    "ns-e4", [SURFACE_GATE._replace(name="half-tile", tile_quadratic=1)], 20, 1000, 1000, 0.01, 2.0
+)
+@example("us-e3", [], 20, 1000, 2000, 1e-3, 1.0)
 @settings(deadline=None, derandomize=True, max_examples=250)
-def test_brute_force_oracle(name, logical_qubits, min_steps, t_states, budget, c_factor):
+def test_brute_force_oracle(name, custom, logical_qubits, min_steps, t_states, budget, c_factor):
     reqs = _requirements(logical_qubits, min_steps, t_states, budget)
-    est = estimate(
-        qubit_preset(name), reqs, c_factor, factory_bounds=_ORACLE_BOUNDS
-    )
-    d, steps, runtime, count, physical, factory = _oracle_estimate(
-        name, reqs, c_factor
-    )
-    assert est.distance == d
-    assert est.time_steps == steps
-    assert est.runtime == runtime
-    assert est.factory_count == count
-    assert est.physical_qubits == physical
-    if factory is None:
-        assert est.factory is None
-    else:
-        assert est.factory.qubit_count == factory[0]
-        assert est.factory.duration == factory[1]
-        assert est.factory.output_error == factory[2]
-        assert est.factory.output_count == factory[3]
+    codes = BUILTIN_CODES + tuple(custom)
+    _differential(qubit_preset(name), reqs, c_factor, codes, _ORACLE_BOUNDS)

@@ -1,28 +1,30 @@
-"""The factory search against a brute-force scan, its caches, and its lock.
+"""The factory search against the reference's scan, its caches, and its lock.
 
-The oracle here enumerates every evaluable configuration in the search's
-generation order through the public unit, provisioning and validator
-functions, and answers a target by a linear scan with the documented cost
-key. The sweep behind ``search_factory`` must return the same factory for
-every target, whether it starts fresh or resumes after earlier queries in
-any order, report the same best error when no factory meets the target,
-and hold exactly the oracle's staircase once it has run to its end.
+``reference.candidates`` enumerates every configuration in the search's
+generation order from the model's formulas. qre's validator must build each
+one with the same error, qubits, duration and output count, and provision
+exactly its copies. The sweep behind ``search_factory`` must return the
+reference's full-scan pick for every target, whether it starts fresh or
+resumes after earlier queries in any order, report the same best error when
+no factory meets the target, and hold exactly the reference's staircase once
+it has run to its end.
 """
 
 import contextlib
 import math
 import random
 import threading
-from bisect import bisect_left
-from itertools import combinations_with_replacement, product
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qre
+import reference
 from qre import (
-    BUILTIN_CODES,
+    HASTINGS_HAAH,
     SURFACE_GATE,
     BudgetSplit,
     DistillationUnitSpec,
@@ -35,7 +37,6 @@ from qre import (
     SearchBounds,
     TFactoryRound,
     UnitKind,
-    ValidityRangeError,
     application_preset,
     application_preset_names,
     estimate,
@@ -45,18 +46,11 @@ from qre import (
     qubit_preset,
     qubit_preset_names,
     search_factory,
-    unit_output_error,
 )
 from qre import distillation
 from qre.bounds import BOUNDS
+from qre.distillation import provisioned_copies
 from threaded import threaded_frontier
-
-_PAIRS = [
-    (name, code.name)
-    for name in qubit_preset_names()
-    for code in BUILTIN_CODES
-    if code.instruction_set is qubit_preset(name).instruction_set
-]
 
 _BOUNDS = (
     SearchBounds(),
@@ -65,112 +59,37 @@ _BOUNDS = (
 )
 
 
-def _code(name):
-    return next(c for c in BUILTIN_CODES if c.name == name)
+@lru_cache(maxsize=1024)
+def _unit(qubit, code, kind, d):
+    return DistillationUnitSpec(UnitKind(kind), d and patch(code, qubit, d))
 
 
-def _candidates(qubit, code, bounds):
-    """Every evaluable configuration in generation order, as (output error,
-    qubits, duration, rounds). Provisioning goes through the module's
-    attributes, so a test can record the keys it passes."""
-    distances = [d for d in range(bounds.min_distance, bounds.max_distance + 1) if d % 2]
-    patches = {d: patch(code, qubit, d) for d in distances}
-
-    def unit(spec):
-        return spec, *spec.costs(qubit)
-
-    logical = {
-        (k, d): unit(DistillationUnitSpec(kind=k, patch=patches[d]))
-        for k in UnitKind
-        for d in distances
-    }
-    prefixes = [()]
-    if qubit.instruction_set is InstructionSet.MAJORANA:
-        prefixes += [(unit(DistillationUnitSpec(kind=k)),) for k in UnitKind]
-    for total_rounds in range(1, bounds.max_rounds + 1):
-        for prefix in prefixes:
-            logical_rounds = total_rounds - len(prefix)
-            if logical_rounds < 1:
-                continue
-            for kinds in product(UnitKind, repeat=logical_rounds):
-                for combo in combinations_with_replacement(distances, logical_rounds):
-                    units = prefix + tuple(logical[kd] for kd in zip(kinds, combo))
-                    error = qubit.p_t
-                    acceptances = []
-                    try:
-                        for _, _, _, clifford_error in units:
-                            error, acceptance = unit_output_error(error, clifford_error)
-                            acceptances.append(acceptance)
-                    except ValidityRangeError:
-                        continue
-                    for final_copies in range(1, bounds.max_final_copies + 1):
-                        if distillation.reliable_outputs(final_copies, acceptances[-1]) == 0:
-                            continue
-                        copies = [final_copies]
-                        try:
-                            for acceptance in reversed(acceptances[:-1]):
-                                copies.insert(
-                                    0, distillation.provisioned_copies(15 * copies[0], acceptance)
-                                )
-                        except ValidityRangeError:
-                            continue
-                        rounds = tuple(
-                            TFactoryRound(unit=u[0], copies=c) for u, c in zip(units, copies)
-                        )
-                        qubits = max(c * u[1] for c, u in zip(copies, units))
-                        yield error, qubits, sum(u[2] for u in units), rounds
+def _factory(qubit, code, rounds):
+    """qre's factory of a reference configuration's rounds."""
+    rounds = [TFactoryRound(_unit(qubit, code, kind, d), c) for kind, d, c in rounds]
+    return evaluate_factory(rounds, qubit)
 
 
-def _oracle(qubit, code, bounds):
-    """Every evaluable factory, built by the public validator, as (output
-    error, cost key), in generation order; and the factories themselves."""
-    rows, factories = [], []
-    for error, qubits, duration, rounds in _candidates(qubit, code, bounds):
-        factory = evaluate_factory(rounds, qubit)
-        assert (factory.output_error, factory.qubit_count, factory.duration) == (
-            error,
-            qubits,
-            duration,
-        )
-        cost = factory.qubit_count * factory.duration
-        rows.append((error, (cost, factory.qubit_count, factory.duration, len(rows))))
-        factories.append(factory)
-    return tuple(rows), tuple(factories)
+def _evaluated(qubit, code, rows):
+    """qre's factory of each reference row: the same error, qubits, duration and
+    output count, each round but the last holding what qre provisions for the next."""
+    factories = [_factory(qubit, code, row[-1]) for row in rows]
+    for f, row in zip(factories, rows):
+        assert (f.output_error, f.qubit_count, f.duration, f.output_count) == row[:4]
+        accepted = zip(f.rounds[1:], f.acceptance_probabilities)
+        fed = [provisioned_copies(15 * r.copies, a) for r, a in accepted]
+        assert [r.copies for r in f.rounds[:-1]] == fed
+    return factories
 
 
-def _oracle_pick(oracle, target):
-    """Cheapest factory meeting ``target`` by a full scan, else the best error."""
-    rows, factories = oracle
-    key = min((key for error, key in rows if error <= target), default=None)
-    if key is not None:
-        return factories[key[-1]], None
-    return None, min((error for error, _ in rows), default=None)
+def _members(qubit, code, rows):
+    return [_factory(qubit, code, row[-1]) for row in reference.staircase(rows)]
 
 
-def _oracle_staircase(oracle):
-    """The factories in cost order whose error is below every cheaper one's."""
-    rows, factories = oracle
-    members = []
-    for error, key in sorted(rows, key=lambda row: row[1]):
-        if not members or error < members[-1].output_error:
-            members.append(factories[key[-1]])
-    return members
-
-
-def _streamed_staircase(qubit, code, bounds):
-    """The same staircase kept as a Pareto front while the candidates stream
-    by, for search spaces too large to hold."""
-    keys, errors, rounds = [], [], []  # keys rising, errors strictly falling
-    for index, (error, qubits, duration, config) in enumerate(_candidates(qubit, code, bounds)):
-        key = (qubits * duration, qubits, duration, index)
-        at = bisect_left(keys, key)
-        if at and errors[at - 1] <= error:
-            continue
-        end = at
-        while end < len(keys) and errors[end] >= error:
-            end += 1
-        keys[at:end], errors[at:end], rounds[at:end] = [key], [error], [config]
-    return [evaluate_factory(config, qubit) for config in rounds]
+def _pick(rows, factories, cheapest):
+    """The reference's cheapest factory meeting a target, else its best error."""
+    best = min((row[0] for row in rows), default=None)
+    return lambda t: (None, best) if (i := cheapest(t)) is None else (factories[i], None)
 
 
 def _full_sweep(qubit, code, bounds):
@@ -218,17 +137,16 @@ def _check_queries(qubit, code, bounds, targets, pick, fresh):
 
 
 @pytest.mark.parametrize("bounds", _BOUNDS, ids=["default", "two-rounds-d9", "one-round"])
-@pytest.mark.parametrize("qubit_name, code_name", _PAIRS)
-def test_search_matches_brute_force_scan(qubit_name, code_name, bounds):
-    qubit = qubit_preset(qubit_name)
-    code = _code(code_name)
-    oracle = _oracle(qubit, code, bounds)
-    members = _oracle_staircase(oracle)
+@pytest.mark.parametrize("qubit, code", reference.PRESET_PAIRS, ids=lambda x: x.name)
+def test_search_matches_brute_force_scan(qubit, code, bounds):
+    rows, cheapest = reference.search(qubit, code, bounds)
+    factories = _evaluated(qubit, code, rows)
+    members = _members(qubit, code, rows)
     assert _full_sweep(qubit, code, bounds) == members
-    targets = _targets([error for error, _ in oracle[0]], members)
+    targets = _targets([row[0] for row in rows], members)
     # A fresh sweep per target costs up to a full sweep; about 40 of them.
     fresh = targets[:: max(1, len(targets) // 40)] + targets[-1:]
-    _check_queries(qubit, code, bounds, targets, lambda t: _oracle_pick(oracle, t), fresh)
+    _check_queries(qubit, code, bounds, targets, _pick(rows, factories, cheapest), fresh)
 
 
 def test_search_matches_streamed_staircase_at_caps():
@@ -238,7 +156,7 @@ def test_search_matches_streamed_staircase_at_caps():
         max_distance=BOUNDS["factory_distance"][1],
         max_final_copies=BOUNDS["max_final_copies"][1],
     )
-    members = _streamed_staircase(qubit, SURFACE_GATE, bounds)
+    members = _members(qubit, SURFACE_GATE, reference.candidates(qubit, SURFACE_GATE, bounds))
     assert _full_sweep(qubit, SURFACE_GATE, bounds) == members
     errors = [m.output_error for m in members]
 
@@ -318,17 +236,18 @@ def _custom_search(draw):
 @settings(deadline=None, derandomize=True, max_examples=60)
 def test_custom_search_matches_brute_force_scan(search):
     qubit, code, bounds = search
-    oracle = _oracle(qubit, code, bounds)
-    members = _oracle_staircase(oracle)
+    rows, cheapest = reference.search(qubit, code, bounds)
+    factories = _evaluated(qubit, code, rows)
+    members = _members(qubit, code, rows)
     assert _full_sweep(qubit, code, bounds) == members
-    targets = _targets([error for error, _ in oracle[0]], members)[::3]
-    _check_queries(qubit, code, bounds, targets, lambda t: _oracle_pick(oracle, t), targets[::3])
+    targets = _targets([row[0] for row in rows], members)[::3]
+    _check_queries(qubit, code, bounds, targets, _pick(rows, factories, cheapest), targets[::3])
 
 
 def test_staircase_is_short_and_falling():
     bounds = SearchBounds()
-    for qubit_name, code_name in _PAIRS:
-        members = _full_sweep(qubit_preset(qubit_name), _code(code_name), bounds)
+    for qubit, code in reference.PRESET_PAIRS:
+        members = _full_sweep(qubit, code, bounds)
         assert 1 < len(members) <= 200
         errors = [m.output_error for m in members]
         costs = [m.qubit_count * m.duration for m in members]
@@ -399,7 +318,7 @@ def test_interrupted_sweep_loses_nothing(monkeypatch):
     class Interrupt(Exception):
         pass
 
-    qubit, code, bounds = qubit_preset("maj-ns-e6"), _code("hastings-haah"), SearchBounds()
+    qubit, code, bounds = qubit_preset("maj-ns-e6"), HASTINGS_HAAH, SearchBounds()
     expected = _full_sweep(qubit, code, bounds)
     calls = 0
 
