@@ -9,12 +9,10 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from operator import mul
 
-import pytest
+import numpy as np
+from scipy.stats import binom
 
 from qre import BUILTIN_CODES, InstructionSet, qubit_preset, qubit_preset_names
-
-binom = pytest.importorskip("scipy.stats").binom
-np = pytest.importorskip("numpy")
 
 CONFIDENCE = 0.99
 
@@ -29,8 +27,7 @@ PRESET_PAIRS = tuple(  # the compatible (qubit preset, built-in code) pairs
 def _first_true(holds, lo, hi):
     """Elementwise least x in [lo, hi] where ``holds(x)``, monotone in x and true at ``hi``."""
     while (lo < hi).any():
-        mid = (lo + hi) // 2
-        ok = holds(mid)
+        ok = holds(mid := (lo + hi) // 2)
         lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
     return lo
 
@@ -109,9 +106,9 @@ def select(qubit, target, codes):
     return compatible[index], d
 
 
-def candidates(qubit, code, bounds):
-    """Each configuration in generation order, once per final copy count that delivers:
-    ``(output error, qubits, duration, output count, ((kind, distance, copies), ...))``."""
+def layouts(qubit, code, bounds):
+    """Each configuration without its copy counts, in generation order, where the
+    formulas hold: ``(kinds, distances, unit qubits, duration, output error, acceptances)``."""
     distances = [d for d in range(bounds.min_distance, bounds.max_distance + 1) if d % 2]
     units = {}  # (kind, distance or None): (qubits, duration, Clifford error)
     for (kind, (_, (q, t))), d in product(_UNITS.items(), distances):
@@ -122,7 +119,7 @@ def candidates(qubit, code, bounds):
         for kind, ((q, t), _) in _UNITS.items():
             units[kind, None] = q, t * qubit.t_meas, qubit.p_clifford
             prefixes.append(((kind,), (None,)))
-    layouts = (
+    configurations = (
         (prefix_kinds + kinds, prefix_distances + combo)
         for total in range(1, bounds.max_rounds + 1)
         for prefix_kinds, prefix_distances in prefixes
@@ -130,12 +127,16 @@ def candidates(qubit, code, bounds):
         for kinds in product(_UNITS, repeat=total - len(prefix_kinds))
         for combo in combinations_with_replacement(distances, len(kinds))
     )
-    for kinds, ds in layouts:
-        costs = [units[u] for u in zip(kinds, ds)]
-        if (run := chain(qubit.p_t, [p for _, _, p in costs])) is None:
-            continue
-        error, acceptances = run
-        widths, duration = [n for n, _, _ in costs], sum([t for _, t, _ in costs])
+    for kinds, ds in configurations:
+        widths, durations, cliffords = zip(*[units[u] for u in zip(kinds, ds)])
+        if run := chain(qubit.p_t, cliffords):
+            yield kinds, ds, widths, sum(durations), *run
+
+
+def candidates(qubit, code, bounds):
+    """Each configuration in generation order, once per final copy count that delivers:
+    ``(output error, qubits, duration, output count, ((kind, distance, copies), ...))``."""
+    for kinds, ds, widths, duration, error, acceptances in layouts(qubit, code, bounds):
         for final in range(1, bounds.max_final_copies + 1):
             if not (count := reliable(final, acceptances[-1])):
                 continue

@@ -11,17 +11,19 @@ import random
 import pytest
 
 import reference
-from qre import DistillationUnitSpec, SearchBounds, TFactoryRound, UnitKind, patch
+from factories import factories
+from qre import SearchBounds
 from qre import distillation
-from qre.distillation import evaluate_factory, provisioned_copies, reliable_outputs
+from qre.distillation import provisioned_copies, reliable_outputs
 
 
 @pytest.fixture(scope="module")
 def reached():
     """Every key the rule meets while qre evaluates every candidate of the
     preset pairs' whole search spaces, including the output counts that
-    provisioning probes. The search itself settles fewer configurations, so
-    its keys are a subset."""
+    provisioning probes, and the output count of every final copy count of
+    every layout, delivering or not. The full sweeps run here too, so the
+    search's own keys are among them."""
     copies_keys, output_keys = set(), set()
 
     def record_copies(required, acceptance):
@@ -33,18 +35,19 @@ def reached():
         return reliable_outputs(copies, acceptance)
 
     assert len(reference.PRESET_PAIRS) == 8
+    bounds = SearchBounds()
     provisioned_copies.cache_clear()  # a cached key would hide its probes
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(distillation, "provisioned_copies", record_copies)
         monkeypatch.setattr(distillation, "reliable_outputs", record_outputs)
         for qubit, code in reference.PRESET_PAIRS:
-            units = {
-                (kind.value, d): DistillationUnitSpec(kind, d and patch(code, qubit, d))
-                for kind in UnitKind
-                for d in (None, *range(3, SearchBounds().max_distance + 1, 2))
-            }
-            for *_, rounds in reference.candidates(qubit, code, SearchBounds()):
-                evaluate_factory([TFactoryRound(units[k, d], c) for k, d, c in rounds], qubit)
+            for *_, acceptances in reference.layouts(qubit, code, bounds):
+                for final in range(1, bounds.max_final_copies + 1):
+                    distillation.reliable_outputs(final, acceptances[-1])
+            for _ in factories(qubit, code, reference.candidates(qubit, code, bounds)):
+                pass
+            distillation._Sweep(qubit, code, bounds).settle(0.0)
+    assert (len(copies_keys), len(output_keys)) == (1261, 10711)
     return sorted(copies_keys), sorted(output_keys)
 
 

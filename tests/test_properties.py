@@ -325,13 +325,13 @@ def _summary(est):
 
 
 def _differential(qubit, reqs, c_factor, codes, bounds):
-    """qre's estimate, which must be the reference's or fail as it does."""
+    """qre's estimate, or the name of the error it raises; the reference gives the same."""
     expected = reference.estimate(qubit, reqs, c_factor, codes, bounds)
     try:
         est = estimate(qubit, reqs, c_factor, codes=codes, factory_bounds=bounds)
     except (NoFactoryError, DistanceCapError, AboveThresholdError) as error:
         assert expected == type(error).__name__
-        return None
+        return expected
     assert _summary(est) == expected
     return est
 
@@ -346,7 +346,7 @@ def test_per_code_estimates_match_the_reference():
         for app, c_factor in product(application_preset_names(), (1, 2, 4, 8)):
             reqs = application_preset(app).resolve()
             est = _differential(qubit, reqs, c_factor, (code,), SearchBounds())
-            assert est is not None, (qubit.name, code.name, app, c_factor)
+            assert not isinstance(est, str), (qubit.name, code.name, app, c_factor, est)
             if qubit.name == "maj-ns-e6" and code is SURFACE_MEAS:
                 default = estimate(qubit, reqs, c_factor)
                 assert default.code is HASTINGS_HAAH
@@ -354,6 +354,21 @@ def test_per_code_estimates_match_the_reference():
                 assert est.runtime > default.runtime
                 slimmer += 1
     assert slimmer == 12
+
+
+# A Majorana preset with a physical first round; a custom code with half
+# surface-gate's tile, which wins; and a target below every factory of the
+# small bounds.
+_MAJORANA = ("maj-ns-e4", [], 20, 1000, 1000, 0.1, 1.0)
+_HALF_TILE = SURFACE_GATE._replace(name="half-tile", tile_quadratic=1)
+_CUSTOM_WIN = ("ns-e4", [_HALF_TILE], 20, 1000, 1000, 0.01, 2.0)
+_NO_FACTORY = ("us-e3", [], 20, 1000, 2000, 1e-3, 1.0)
+
+
+def _oracle(name, custom, logical_qubits, min_steps, t_states, budget, c_factor):
+    reqs = _requirements(logical_qubits, min_steps, t_states, budget)
+    codes = BUILTIN_CODES + tuple(custom)
+    return _differential(qubit_preset(name), reqs, c_factor, codes, _ORACLE_BOUNDS)
 
 
 @given(
@@ -365,15 +380,15 @@ def test_per_code_estimates_match_the_reference():
     budget=st.floats(1e-3, 0.1),
     c_factor=st.floats(1.0, 4.0),
 )
-# A Majorana preset; a custom code with half surface-gate's tile, which wins;
-# and a target below every factory of the small bounds.
-@example("maj-ns-e4", [], 20, 1000, 1000, 0.01, 1.0)
-@example(
-    "ns-e4", [SURFACE_GATE._replace(name="half-tile", tile_quadratic=1)], 20, 1000, 1000, 0.01, 2.0
-)
-@example("us-e3", [], 20, 1000, 2000, 1e-3, 1.0)
+@example(*_MAJORANA)
+@example(*_CUSTOM_WIN)
+@example(*_NO_FACTORY)
 @settings(deadline=None, derandomize=True, max_examples=250)
 def test_brute_force_oracle(name, custom, logical_qubits, min_steps, t_states, budget, c_factor):
-    reqs = _requirements(logical_qubits, min_steps, t_states, budget)
-    codes = BUILTIN_CODES + tuple(custom)
-    _differential(qubit_preset(name), reqs, c_factor, codes, _ORACLE_BOUNDS)
+    _oracle(name, custom, logical_qubits, min_steps, t_states, budget, c_factor)
+
+
+def test_oracle_examples_reach_their_cases():
+    assert _oracle(*_MAJORANA).factory.rounds[0].unit.distance is None
+    assert _oracle(*_CUSTOM_WIN).code is _HALF_TILE
+    assert _oracle(*_NO_FACTORY) == "NoFactoryError"

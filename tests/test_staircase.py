@@ -14,7 +14,6 @@ import contextlib
 import math
 import random
 import threading
-from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -23,11 +22,11 @@ from hypothesis import strategies as st
 
 import qre
 import reference
+from factories import factories
 from qre import (
     HASTINGS_HAAH,
     SURFACE_GATE,
     BudgetSplit,
-    DistillationUnitSpec,
     InstructionSet,
     LogicalRequirements,
     NoFactoryError,
@@ -35,14 +34,11 @@ from qre import (
     PhysicalQubitParams,
     QecCodeModel,
     SearchBounds,
-    TFactoryRound,
-    UnitKind,
     application_preset,
     application_preset_names,
     estimate,
     evaluate_factory,
     frontier,
-    patch,
     qubit_preset,
     qubit_preset_names,
     search_factory,
@@ -59,37 +55,26 @@ _BOUNDS = (
 )
 
 
-@lru_cache(maxsize=1024)
-def _unit(qubit, code, kind, d):
-    return DistillationUnitSpec(UnitKind(kind), d and patch(code, qubit, d))
-
-
-def _factory(qubit, code, rounds):
-    """qre's factory of a reference configuration's rounds."""
-    rounds = [TFactoryRound(_unit(qubit, code, kind, d), c) for kind, d, c in rounds]
-    return evaluate_factory(rounds, qubit)
-
-
 def _evaluated(qubit, code, rows):
     """qre's factory of each reference row: the same error, qubits, duration and
     output count, each round but the last holding what qre provisions for the next."""
-    factories = [_factory(qubit, code, row[-1]) for row in rows]
-    for f, row in zip(factories, rows):
+    built = list(factories(qubit, code, rows))
+    for f, row in zip(built, rows):
         assert (f.output_error, f.qubit_count, f.duration, f.output_count) == row[:4]
         accepted = zip(f.rounds[1:], f.acceptance_probabilities)
         fed = [provisioned_copies(15 * r.copies, a) for r, a in accepted]
         assert [r.copies for r in f.rounds[:-1]] == fed
-    return factories
+    return built
 
 
 def _members(qubit, code, rows):
-    return [_factory(qubit, code, row[-1]) for row in reference.staircase(rows)]
+    return list(factories(qubit, code, reference.staircase(rows)))
 
 
-def _pick(rows, factories, cheapest):
+def _pick(rows, built, cheapest):
     """The reference's cheapest factory meeting a target, else its best error."""
     best = min((row[0] for row in rows), default=None)
-    return lambda t: (None, best) if (i := cheapest(t)) is None else (factories[i], None)
+    return lambda t: (None, best) if (i := cheapest(t)) is None else (built[i], None)
 
 
 def _full_sweep(qubit, code, bounds):
@@ -140,13 +125,13 @@ def _check_queries(qubit, code, bounds, targets, pick, fresh):
 @pytest.mark.parametrize("qubit, code", reference.PRESET_PAIRS, ids=lambda x: x.name)
 def test_search_matches_brute_force_scan(qubit, code, bounds):
     rows, cheapest = reference.search(qubit, code, bounds)
-    factories = _evaluated(qubit, code, rows)
+    built = _evaluated(qubit, code, rows)
     members = _members(qubit, code, rows)
     assert _full_sweep(qubit, code, bounds) == members
     targets = _targets([row[0] for row in rows], members)
     # A fresh sweep per target costs up to a full sweep; about 40 of them.
     fresh = targets[:: max(1, len(targets) // 40)] + targets[-1:]
-    _check_queries(qubit, code, bounds, targets, _pick(rows, factories, cheapest), fresh)
+    _check_queries(qubit, code, bounds, targets, _pick(rows, built, cheapest), fresh)
 
 
 def test_search_matches_streamed_staircase_at_caps():
@@ -237,11 +222,11 @@ def _custom_search(draw):
 def test_custom_search_matches_brute_force_scan(search):
     qubit, code, bounds = search
     rows, cheapest = reference.search(qubit, code, bounds)
-    factories = _evaluated(qubit, code, rows)
+    built = _evaluated(qubit, code, rows)
     members = _members(qubit, code, rows)
     assert _full_sweep(qubit, code, bounds) == members
     targets = _targets([row[0] for row in rows], members)[::3]
-    _check_queries(qubit, code, bounds, targets, _pick(rows, factories, cheapest), targets[::3])
+    _check_queries(qubit, code, bounds, targets, _pick(rows, built, cheapest), targets[::3])
 
 
 def test_staircase_is_short_and_falling():
