@@ -133,7 +133,9 @@ def rotation_t_count(
     """T gates needed per rotation so all rotations fit the synthesis budget.
 
     Zero rotations need zero T gates; otherwise each rotation is synthesized
-    to accuracy ``synthesis_budget / rotations``.
+    to accuracy ``synthesis_budget / rotations``. The count is never negative:
+    a rotation whose accuracy budget exceeds what the formula needs gets no
+    T gate.
     """
     check("count", rotations, "rotations")
     if rotations == 0:
@@ -141,7 +143,7 @@ def rotation_t_count(
     if not synthesis_budget > 0:
         raise ParameterError("synthesis budget must be positive")
     check("budget_part", synthesis_budget, "synthesis budget")
-    return math.ceil(model.scale * math.log2(rotations / synthesis_budget) + model.offset)
+    return max(0, math.ceil(model.scale * math.log2(rotations / synthesis_budget) + model.offset))
 
 
 def _compiled_qubits(algorithm_qubits: int) -> int:

@@ -375,7 +375,6 @@ class _Sweep:
         self.factories: list[TFactory] = []  # the members, in cost order
         self._best = inf  # the last member's error, which a new member must beat
         self._heap: list[tuple] = []
-        self._chains: dict[tuple, tuple[float, tuple] | None] = {}
         self._order = count()
         # SearchBounds keeps an odd distance in range, so ``distances`` is not empty.
         self._top = distances[-1]
@@ -383,33 +382,23 @@ class _Sweep:
             units = prefix + tuple(table[distances[0]] for table in tables)
             self._push(shape, (distances[0],) * len(tables), len(tables) - 1, units)
 
-    def _chain(self, shape: int, distances: tuple[int, ...]) -> tuple[float, tuple] | None:
-        """Output error and round acceptances of the shape's rounds up to
-        ``len(distances)``, or None outside the formula's validity range;
-        memoized on every prefix."""
-        key = (shape, distances)
-        chain = self._chains.get(key, False)
-        if chain is False:
-            prefix, tables = self._shapes[shape]
-            if distances:
-                chain = self._chain(shape, distances[:-1])
-                cliffords = (tables[len(distances) - 1][distances[-1]].clifford_error,)
-            else:
-                chain, cliffords = (self.qubit.p_t, ()), [u.clifford_error for u in prefix]
-            if chain is not None:
-                try:
-                    chain = _extend(chain, cliffords)
-                except ValidityRangeError:
-                    chain = None
-            self._chains[key] = chain
-        return chain
+    def _chain(self, units: Sequence[_Unit]) -> tuple[float, tuple] | None:
+        """Output error and round acceptances of ``units`` run in order, or
+        None outside the formula's validity range."""
+        try:
+            return _extend((self.qubit.p_t, ()), [u.clifford_error for u in units])
+        except ValidityRangeError:
+            return None
 
     def _push(
         self, shape: int, distances: tuple[int, ...], cursor: int, units: tuple[_Unit, ...]
     ) -> None:
         """Queue a node whose descendants raise distances up to position ``cursor``."""
         top = distances[cursor + 1] if cursor + 1 < len(distances) else self._top
-        reach = self._chain(shape, (top,) * (cursor + 1) + distances[cursor + 1 :])
+        # The subtree's attained error bound: every position up to the cursor at ``top``.
+        offset = len(units) - len(distances)
+        raised = tuple(table[top] for table in self._shapes[shape][1][: cursor + 1])
+        reach = self._chain(units[:offset] + raised + units[offset + cursor + 1 :])
         if reach is None:
             return  # nor is any descendant's chain valid
         bound = reach[0]
@@ -433,7 +422,7 @@ class _Sweep:
     ) -> None:
         """Queue the node's own configuration with the fewest final copies
         that deliver, under its exact cost key."""
-        chain = self._chain(shape, distances)
+        chain = self._chain(units)
         if chain is None or chain[0] >= self._best:
             return
         error, acceptances = chain
@@ -464,7 +453,6 @@ class _Sweep:
             except BaseException:
                 heappush(heap, entry)  # an interrupted step is redone, never lost
                 raise
-        self._chains.clear()  # a paused sweep keeps only its heap
 
     def _step(self, entry: tuple) -> None:
         if entry[1]:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qre import (
     AlgorithmCounts,
@@ -45,6 +47,10 @@ class TestRotationTCount:
     def test_custom_model(self):
         flat = SynthesisModel(scale=0.0, offset=7.0)
         assert rotation_t_count(1e-9, 1e9, flat) == 7
+
+    def test_a_loose_budget_costs_no_t_gate(self):
+        # The formula alone gives ceil(0.53 * log2(1e-6 / 0.3) + 5.3) = -4.
+        assert rotation_t_count(0.3, 1e-6) == 0
 
 
 def _counts(**overrides):
@@ -105,6 +111,42 @@ class TestLogicalCounts:
     def test_rotations_need_layers(self):
         with pytest.raises(ParameterError, match="layers"):
             _counts(rotations=5)
+
+    def test_a_cheap_rotation_lowers_no_total(self):
+        """A rotation whose budget needs no T gate adds its step and nothing
+        else; the bare formula gives -8 228 T gates per rotation here."""
+        counts = AlgorithmCounts(10, 1e6, 0.001, 1000, 0, 1, 0.9)
+        reqs = logical_counts(counts, synthesis=SynthesisModel(1000, 0))
+        assert reqs.min_time_steps == 1e6 + 0.001 + 1000
+        assert reqs.t_states == 1000
+
+
+_COUNT_FIELDS = ("measurements", "rotations", "t_gates", "toffoli_gates", "rotation_layers")
+_SYNTHESIS = st.floats(*BOUNDS["synthesis"])
+
+
+@given(
+    counts=st.builds(
+        AlgorithmCounts,
+        algorithm_qubits=st.integers(1, 10**6),
+        measurements=st.floats(1, 1e12),
+        rotations=st.one_of(st.floats(0, 1, exclude_max=True), st.floats(0, 1e12)),
+        t_gates=st.floats(0, 1e12),
+        toffoli_gates=st.floats(0, 1e12),
+        rotation_layers=st.floats(1, 1e12),
+        error_budget=st.floats(BOUNDS["error_budget"][0], 0.99),
+    ),
+    synthesis=st.builds(SynthesisModel, _SYNTHESIS, _SYNTHESIS),
+    field=st.sampled_from(_COUNT_FIELDS),
+    extra=st.one_of(st.floats(0, 1), st.floats(0, 1e12)),
+)
+@settings(deadline=None, derandomize=True, max_examples=300)
+def test_more_operations_never_lower_steps_or_t_states(counts, synthesis, field, extra):
+    raised = counts._replace(**{field: getattr(counts, field) + extra})
+    before = logical_counts(counts, synthesis=synthesis)
+    after = logical_counts(raised, synthesis=synthesis)
+    assert after.min_time_steps >= before.min_time_steps
+    assert after.t_states >= before.t_states
 
 
 class TestIsingCounts:

@@ -502,6 +502,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "not valid JSON" in err and err.count("\n") == 1
 
+    def test_a_cheap_rotation_runs(self, tmp_path, capsys):
+        """Synthesis constants that need no T gate for a rotation leave its
+        counts as they are, rather than a negative step count failing a
+        derived bound."""
+        counts = {
+            "algorithm_qubits": 10,
+            "measurements": 100,
+            "rotations": 0.001,
+            "t_gates": 1000,
+            "toffoli_gates": 0,
+            "rotation_layers": 1,
+            "error_budget": 0.9,
+        }
+        job = _job(
+            application={"counts": counts},
+            overrides={"synthesis": {"scale": 1000, "offset": 0}},
+        )
+        assert parse_job(job).requirements.t_states == 1000
+        assert main(["estimate", "--job", _write(tmp_path, job)]) == 0
+
     def test_schema_violation_exit_code(self, tmp_path, capsys):
         path = _write(tmp_path, {"qubit": "ns-e4"})
         assert main(["estimate", "--job", path]) == 2

@@ -80,7 +80,7 @@ def _pick(rows, built, cheapest):
 def _full_sweep(qubit, code, bounds):
     sweep = distillation._Sweep(qubit, code, bounds)
     sweep.settle(0.0)
-    assert not sweep._heap and not sweep._chains  # a finished sweep drops both
+    assert not sweep._heap  # a finished sweep keeps only its members
     return list(sweep.factories)
 
 
