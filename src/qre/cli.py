@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for domain errors (infeasible targets, bad
-parameters) or a closed stdout, 2 for invalid job input.
+parameters), a closed stdout or a stdout that cannot encode the report, 2
+for invalid job input.
 """
 
 import argparse
@@ -134,6 +135,14 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader left: send the rest to devnull, so the flush at exit cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except UnicodeEncodeError:
+        # Nothing was written: the whole report is encoded before it is buffered.
+        print(
+            f"error: stdout cannot encode the report ({sys.stdout.encoding}); "
+            "--format json writes ASCII only",
+            file=sys.stderr,
+        )
         return 1
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,17 +89,26 @@ def unit_output_error(input_error: float, clifford_error: float) -> tuple[float,
     return output, acceptance
 
 
-def _extend(
-    chain: tuple[float, tuple[float, ...]], clifford_errors: Sequence[float]
+def _error_chain(
+    input_error: float, clifford_errors: Sequence[float]
 ) -> tuple[float, tuple[float, ...]]:
-    """Run ``(output error, round acceptances)`` through one more unit per
-    Clifford error; raises :class:`ValidityRangeError` outside the formula's
-    validity range."""
-    error, acceptances = chain
+    """Output error and round acceptances of units run in order from
+    ``input_error``, one per Clifford error; raises
+    :class:`ValidityRangeError` outside the formula's validity range."""
+    error, acceptances = input_error, ()
     for clifford_error in clifford_errors:
         error, acceptance = unit_output_error(error, clifford_error)
         acceptances += (acceptance,)
     return error, acceptances
+
+
+def _copy_floor(required: int, acceptance: float) -> int:
+    """A lower bound on :func:`provisioned_copies`: at least ``required``
+    and more than q = (required - 1) / acceptance, as a round of m copies
+    delivers at most ceil(m * acceptance). The float quotient is within
+    2**-53 of q, relative, so less the 1e-12 slack it stays below q, and
+    int() + 1 never exceeds the least m > q."""
+    return max(required, int((required - 1) / acceptance * (1.0 - 1e-12)) + 1)
 
 
 # Cache bounds: under the default search bounds the preset jobs fill 6 sweeps,
@@ -253,7 +262,7 @@ def evaluate_factory(
         raise ParameterError("factory patches must share one code model")
 
     qubits, durations, clifford_errors = zip(*costs)
-    output_error, acceptances = _extend((qubit.p_t, ()), clifford_errors)
+    output_error, acceptances = _error_chain(qubit.p_t, clifford_errors)
     for index in range(len(rounds) - 1):
         needed = provisioned_copies(15 * rounds[index + 1].copies, acceptances[index])
         if rounds[index].copies < needed:
@@ -386,7 +395,7 @@ class _Sweep:
         """Output error and round acceptances of ``units`` run in order, or
         None outside the formula's validity range."""
         try:
-            return _extend((self.qubit.p_t, ()), [u.clifford_error for u in units])
+            return _error_chain(self.qubit.p_t, [u.clifford_error for u in units])
         except ValidityRangeError:
             return None
 
@@ -406,12 +415,7 @@ class _Sweep:
             return
         copies, qubits = 1, units[-1].qubits
         for acceptance, u in zip(reach[1][-2::-1], units[-2::-1]):
-            required = 15 * copies
-            # More than q = (required - 1) / acceptance, as a round of m copies
-            # delivers at most ceil(m * acceptance). The float quotient is within
-            # 2**-53 of q, relative, so less the 1e-12 slack it stays below q, and
-            # int() + 1 never exceeds the least m > q.
-            copies = max(required, int((required - 1) / acceptance * (1.0 - 1e-12)) + 1)
+            copies = _copy_floor(15 * copies, acceptance)
             qubits = max(qubits, copies * u.qubits)
         duration = sum([u.duration for u in units])
         entry = (qubits * duration, 0, next(self._order), bound, shape, distances, cursor, units)

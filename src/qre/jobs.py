@@ -6,8 +6,9 @@ frontier sweep, a custom error-budget split, synthesis constants, a code
 distance cap, factory search bounds, and extra code models to consider.
 
 Validation is two-staged: a JSON Schema pass for shape and numeric range,
-then semantic checks (preset existence, perfect-square lattices, and each
-parameter type's own checks as it is built, such as the budget split's sum).
+then semantic checks (preset existence, perfect-square lattices, one model
+per code name, and each parameter type's own checks as it is built, such as
+the budget split's sum).
 A type's numeric nodes in the schema come from its ``field_bounds`` map
 (:mod:`qre.bounds`).
 Both stages report :class:`~qre.errors.SchemaError` with a JSON pointer to
@@ -22,12 +23,12 @@ from .bounds import BOUNDS
 from .codes import BUILTIN_CODES, DEFAULT_DISTANCE_CAP, QecCodeModel
 from .counting import (
     AlgorithmCounts,
+    ApplicationPreset,
     BudgetSplit,
     LogicalRequirements,
     SynthesisModel,
     application_preset,
     ising_counts,
-    logical_counts,
 )
 from .distillation import SearchBounds
 from .errors import ParameterError, SchemaError, UnknownPresetError
@@ -282,30 +283,44 @@ def _at(pointer: str, build: Any, *args: Any, **kwargs: Any) -> Any:
         raise SchemaError(str(exc), pointer) from None
 
 
+def _codes(specs: list) -> tuple[QecCodeModel, ...]:
+    """The built-in codes, then the job's own. A name stands for one model,
+    as the reports tell codes apart by name; a verbatim copy is allowed."""
+    named = {code.name: code for code in BUILTIN_CODES}
+    codes = []
+    for i, spec in enumerate(specs):
+        code = _at(_pointer("codes", i), _code, spec)
+        if named.setdefault(code.name, code) != code:
+            raise SchemaError(
+                f"code name {code.name!r} already names a different model",
+                _pointer("codes", i, "name"),
+            )
+        codes.append(code)
+    return BUILTIN_CODES + tuple(codes)
+
+
 # Counts a job leaves out are zero; the schema requires the other two fields.
 _NO_COUNTS = dict.fromkeys(AlgorithmCounts._fields, 0)
 
 
-def _resolve_application(
-    spec: Any,
-    split: BudgetSplit,
-    synthesis: SynthesisModel,
-) -> tuple[LogicalRequirements, tuple[str, ...]]:
+def _application(spec: Any) -> tuple[ApplicationPreset, str]:
+    """The job's application as a preset, with the pointer its errors are
+    reported at. An inline one is named "custom", as an inline qubit is."""
     if isinstance(spec, str):
-        preset = _at("/application", application_preset, spec)
-        return preset.resolve(split, synthesis), preset.notes
-    if "counts" in spec:
-        counts = _at("/application/counts", AlgorithmCounts, **{**_NO_COUNTS, **spec["counts"]})
-        return _at("/application/counts", logical_counts, counts, split, synthesis), ()
-    if "requirements" in spec:
-        raw = spec["requirements"]
-        return _at("/application/requirements", LogicalRequirements, **raw, split=split), ()
-    raw = spec["ising"]
-    if math.isqrt(raw["N"]) ** 2 != raw["N"]:
-        raise SchemaError("lattice sites must be a perfect square", "/application/ising/N")
-    budget = raw.get("error_budget", _DEFAULT_ISING_BUDGET)
-    counts = _at("/application/ising", ising_counts, raw["N"], raw["T"], budget, raw.get("M_meas"))
-    return _at("/application/ising", logical_counts, counts, split, synthesis), ()
+        return _at("/application", application_preset, spec), "/application"
+    [(kind, raw)] = spec.items()  # the schema admits one key
+    pointer = _pointer("application", kind)
+    if kind == "requirements":
+        requirements = _at(pointer, LogicalRequirements, **raw)
+        return ApplicationPreset("custom", "", requirements=requirements), pointer
+    if kind == "counts":
+        counts = _at(pointer, AlgorithmCounts, **{**_NO_COUNTS, **raw})
+    else:
+        if math.isqrt(raw["N"]) ** 2 != raw["N"]:
+            raise SchemaError("lattice sites must be a perfect square", f"{pointer}/N")
+        budget = raw.get("error_budget", _DEFAULT_ISING_BUDGET)
+        counts = _at(pointer, ising_counts, raw["N"], raw["T"], budget, raw.get("M_meas"))
+    return ApplicationPreset("custom", "", counts=counts), pointer
 
 
 def parse_job(obj: Any) -> JobSpec:
@@ -324,17 +339,16 @@ def parse_job(obj: Any) -> JobSpec:
     split = _at("/budget_split", BudgetSplit, **job.get("budget_split", {}))
     spec = job["qubit"]
     qubit = _at("/qubit", qubit_preset if isinstance(spec, str) else _qubit, spec)
-    requirements, notes = _resolve_application(job["application"], split, synthesis)
-    codes = BUILTIN_CODES + tuple(
-        _at(_pointer("codes", i), _code, code) for i, code in enumerate(job.get("codes", ()))
-    )
+    application, pointer = _application(job["application"])
+    requirements = _at(pointer, application.resolve, split, synthesis)
+    codes = _codes(job.get("codes", []))
     factory_bounds = _at("/overrides/factory", SearchBounds, **overrides.get("factory", {}))
     factors = job.get("frontier_factors", [job.get("c_factor", 1.0)])
 
     return JobSpec(
         qubit=qubit,
         requirements=requirements,
-        notes=notes,
+        notes=application.notes,
         factors=tuple(float(f) for f in factors),
         distance_cap=overrides.get("max_code_distance", DEFAULT_DISTANCE_CAP),
         factory_bounds=factory_bounds,

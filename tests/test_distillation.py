@@ -31,7 +31,7 @@ from qre import (
 )
 from qre import distillation
 from qre.bounds import BOUNDS
-from qre.distillation import _sweep, provisioned_copies, reliable_outputs
+from qre.distillation import _copy_floor, _sweep, provisioned_copies, reliable_outputs
 
 SE = UnitKind.SPACE_EFFICIENT
 RM = UnitKind.RM_PREP
@@ -46,13 +46,9 @@ def _outputs_within_mean_ceiling(copies, acceptance):
     return reliable_outputs(copies, acceptance) <= math.ceil(copies * Fraction(acceptance))
 
 
-def _copy_floor(required, acceptance):
-    """``_Sweep._push``'s lower bound on the copies that deliver ``required``
-    states; asserts that its slackened quotient never passes the least
-    integer above the exact ``(required - 1) / acceptance``."""
-    floor = int((required - 1) / acceptance * (1.0 - 1e-12)) + 1
-    assert floor <= math.floor(Fraction(required - 1) / Fraction(acceptance)) + 1
-    return max(required, floor)
+def _least_above_quotient(required, acceptance):
+    """The least integer above ``(required - 1) / acceptance``, exactly."""
+    return math.floor(Fraction(required - 1) / Fraction(acceptance)) + 1
 
 
 class TestUnitOutputError:
@@ -338,6 +334,7 @@ class TestSearch:
         assert [len(seen[real]) for real in (provisioned_copies, reliable_outputs)] == [383, 2841]
         assert all(_outputs_within_mean_ceiling(*key) for key in seen[reliable_outputs])
         floors = {key: _copy_floor(*key) for key in seen[provisioned_copies]}
+        assert all(floors[key] <= _least_above_quotient(*key) for key in floors)
         assert all(floors[key] <= provisioned_copies(*key) for key in floors)
 
     @given(
@@ -350,7 +347,9 @@ class TestSearch:
     @settings(deadline=None, derandomize=True, max_examples=300)
     def test_sweep_premise_copy_floor_on_draws(self, required, acceptance, copies):
         assert _outputs_within_mean_ceiling(copies, acceptance)
-        assert _copy_floor(required, acceptance) <= provisioned_copies(required, acceptance)
+        floor = _copy_floor(required, acceptance)
+        assert floor <= _least_above_quotient(required, acceptance)
+        assert floor <= provisioned_copies(required, acceptance)
 
     def test_bounds_validation(self):
         with pytest.raises(ParameterError):

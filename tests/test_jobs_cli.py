@@ -17,6 +17,7 @@ from qre import (
     DistanceCapError,
     ParameterError,
     Report,
+    SURFACE_GATE,
     SchemaError,
     SynthesisModel,
     application_preset,
@@ -589,6 +590,8 @@ _COUNTS = (
     '{"counts": {"algorithm_qubits": 10, "rotations": %s, "rotation_layers": 10, '
     '"error_budget": 0.001}}'
 )
+# The built-in surface code at half its tile: another model under the same name.
+_HALF_TILE = {**SURFACE_GATE.to_json(), "qubits_per_tile": {"quadratic": 1}}
 
 
 class TestHostileInput:
@@ -680,6 +683,11 @@ class TestHostileInput:
                 ),
                 "/codes/0",
             ),
+            (_job(codes=[_HALF_TILE]), "/codes/0/name"),
+            (
+                _job(codes=[{**_HALF_TILE, "name": "x"}, {**SURFACE_GATE.to_json(), "name": "x"}]),
+                "/codes/1/name",
+            ),
         ],
         ids=[
             "huge-float-sites",
@@ -692,11 +700,14 @@ class TestHostileInput:
             "copies-over-cap",
             "even-only-distances",
             "unnamed-code",
+            "built-in-name-another-model",
+            "custom-name-two-models",
         ],
     )
     def test_cli_rejects_at_pointer(self, tmp_path, capsys, obj, pointer):
         """Integers must be JSON integers, the factory search is capped and
-        holds at least one (odd) distance, and a code needs a name."""
+        holds at least one (odd) distance, and a code needs a name, which
+        stands for one model only."""
         assert main(["estimate", "--job", _write(tmp_path, obj)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.endswith(f"(at {pointer})\n")
@@ -825,11 +836,40 @@ def test_closed_stdout_ends_without_traceback(tmp_path, argv):
     assert (result.returncode, result.stderr) == (1, b"")
 
 
-def test_traced_cli_records_every_layer(tmp_path):
+@pytest.mark.parametrize("fmt, code", [("md", 1), ("csv", 1), ("json", 0)])
+def test_unencodable_report_ends_without_traceback(tmp_path, fmt, code):
+    """A report that stdout's encoding cannot write ends in one error line
+    and exit 1, with nothing on stdout; JSON escapes it to ASCII."""
+    job = _write(tmp_path, _job(codes=[{**_HALF_TILE, "name": "h\u00e4lf"}]))
+    src = str(Path(qre.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "qre.cli", "estimate", "--job", job, "--format", fmt],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "ascii"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == code
+    if code:
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: stdout cannot encode the report")
+        assert result.stderr.count("\n") == 1
+    else:
+        assert "h\\u00e4lf" in result.stdout and result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "application",
+    ["dynamics", json.loads(_COUNTS % "1000")],
+    ids=["preset", "inline-counts"],
+)
+def test_traced_cli_records_every_layer(tmp_path, application):
     """The benchmark's traced child process still wraps every layer it names,
-    and marks the first factory search as cold."""
+    and marks the first factory search as cold; an inline application
+    resolves through the same path as a preset."""
     trace = tmp_path / "trace.json"
-    job = _write(tmp_path, {"qubit": "ns-e4", "application": "dynamics"})
+    job = _write(tmp_path, {"qubit": "ns-e4", "application": application})
     child = Path(__file__).parents[1] / "perfbench" / "cli_child.py"
     src = str(Path(qre.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
