@@ -105,10 +105,10 @@ def estimate(
     The step count, code distance, and factory interlock: more steps tighten
     the per-step logical target, so the distance stays or grows, while a
     factory slower than the whole schedule forces more steps. Padding only
-    raises the step count, so each unsettled pass pads for a new code, and
-    at most one pass per compatible code plus one runs; all 72 preset
-    estimates (six qubits, three workloads, stretch 1, 2, 4 and 8) settle in
-    one. The result always has a factory no slower than its runtime.
+    raises the step count, so each unsettled pass pads for a new model, and
+    at most one pass per distinct compatible model, plus one, runs; all 72
+    preset estimates (six qubits, three workloads, stretch 1, 2, 4 and 8)
+    settle in one. The result always has a factory no slower than its runtime.
     """
     check("stretch", c_factor, "schedule stretch factor")
     c_factor = float(c_factor)
@@ -118,9 +118,9 @@ def estimate(
     # ceil(D_f / tau(d)), and padding only ever raises steps. At more steps a
     # code's distance, step time and runtime never fall, so a code padded for
     # settles whenever a later pass picks it again. Each pass that does not
-    # settle thus pads for a new code, and at most len(compatible) + 1 passes
-    # run. The raise below guards these premises and is not a tuned limit.
-    passes = sum(c.instruction_set is qubit.instruction_set for c in codes) + 1
+    # settle thus pads for a new model, and at most len(set(compatible)) + 1
+    # passes run. The raise below guards these premises, not a tuned limit.
+    passes = len({c for c in codes if c.instruction_set is qubit.instruction_set}) + 1
     for _ in range(passes):
         per_step_target = requirements.logical_budget / (
             requirements.logical_qubits * steps

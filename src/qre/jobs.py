@@ -284,10 +284,9 @@ def _at(pointer: str, build: Any, *args: Any, **kwargs: Any) -> Any:
 
 
 def _codes(specs: list) -> tuple[QecCodeModel, ...]:
-    """The built-in codes, then the job's own. A name stands for one model,
-    as the reports tell codes apart by name; a verbatim copy is allowed."""
+    """The built-in codes, then the job's new models; a verbatim copy is listed
+    once, and a name stands for one model, as reports tell codes apart by name."""
     named = {code.name: code for code in BUILTIN_CODES}
-    codes = []
     for i, spec in enumerate(specs):
         code = _at(_pointer("codes", i), _code, spec)
         if named.setdefault(code.name, code) != code:
@@ -295,8 +294,7 @@ def _codes(specs: list) -> tuple[QecCodeModel, ...]:
                 f"code name {code.name!r} already names a different model",
                 _pointer("codes", i, "name"),
             )
-        codes.append(code)
-    return BUILTIN_CODES + tuple(codes)
+    return tuple(named.values())
 
 
 # Counts a job leaves out are zero; the schema requires the other two fields.

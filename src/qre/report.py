@@ -55,7 +55,7 @@ def _render_json(report: Report) -> str:
         "notes": list(report.job.notes),
         "estimates": [_estimate_json(e) for e in report.estimates],
     }
-    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _estimate_json(e: PhysicalEstimate) -> dict:

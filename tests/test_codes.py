@@ -203,8 +203,9 @@ def test_select_code_names_the_capped_code_among_hot_ones():
 class TestCustomCodeValidation:
     @pytest.mark.parametrize("code", BUILTIN_CODES, ids=lambda code: code.name)
     def test_round_trip(self, code):
+        # A built-in's JSON parses back to that built-in, so the job lists it once.
         job = {"qubit": "ns-e4", "application": "dynamics", "codes": [code.to_json()]}
-        assert parse_job(job).codes[-1] == code
+        assert parse_job(job).codes == BUILTIN_CODES
 
     def test_zero_step_time_rejected(self):
         with pytest.raises(ParameterError, match="step time"):

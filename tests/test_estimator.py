@@ -268,11 +268,12 @@ class TestInterlock:
 
     def test_unsettled_interlock_raises(self, monkeypatch):
         # A distance that shrinks as steps grow breaks the bound's premise.
-        # The guard allows one pass per code the qubit can run, plus one:
-        # ns-e4 runs one of the three built-in codes, so two passes either way.
+        # The guard allows one pass per distinct model the qubit can run, plus
+        # one: ns-e4 runs one of the three built-in codes, and a copy is no new
+        # model, so two passes each way.
         from qre import estimator
 
-        for codes in ((SURFACE_GATE,), BUILTIN_CODES):
+        for codes in ((SURFACE_GATE,), BUILTIN_CODES, (SURFACE_GATE, SURFACE_GATE)):
             distances = itertools.cycle((5, 3))
             passes = []
 

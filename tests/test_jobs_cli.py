@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qre import (
+    BUILTIN_CODES,
     BudgetSplit,
     DistanceCapError,
     ParameterError,
@@ -120,6 +121,13 @@ class TestParse:
         )
         names = [code.name for code in job.codes]
         assert "wide-surface" in names and "surface-gate" in names
+
+    def test_codes_list_each_model_once(self):
+        # Copies of the built-ins and of an earlier custom code are the entries
+        # already there; a new model follows the built-ins in job order.
+        custom = SURFACE_GATE._replace(name="wide", error_prefactor=0.05)
+        copies = [code.to_json() for code in (*BUILTIN_CODES, custom, custom)]
+        assert parse_job(_job(codes=copies)).codes == BUILTIN_CODES + (custom,)
 
     def test_frontier_factors(self):
         job = parse_job(_job(frontier_factors=[1, 2, 4]))
