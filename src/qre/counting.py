@@ -234,51 +234,54 @@ class ApplicationPreset(NamedTuple):
 
 
 _PRESETS: dict[str, ApplicationPreset] = {
-    "dynamics": ApplicationPreset(
-        name="dynamics",
-        description="Quantum dynamics of a 10x10 transverse-field Ising lattice",
-        requirements=LogicalRequirements(
-            logical_qubits=230,
-            min_time_steps=1.5e5,
-            t_states=2.4e6,
-            error_budget=1e-3,
+    p.name: p
+    for p in (
+        ApplicationPreset(
+            name="dynamics",
+            description="Quantum dynamics of a 10x10 transverse-field Ising lattice",
+            requirements=LogicalRequirements(
+                logical_qubits=230,
+                min_time_steps=1.5e5,
+                t_states=2.4e6,
+                error_budget=1e-3,
+            ),
+            notes=(
+                "dynamics: stores published end-to-end totals (1.5e5 steps, 2.4e6 T "
+                "states); the rotation-synthesis formulas applied to the published "
+                "operation counts give different totals",
+            ),
         ),
-        notes=(
-            "dynamics: stores published end-to-end totals (1.5e5 steps, 2.4e6 T "
-            "states); the rotation-synthesis formulas applied to the published "
-            "operation counts give different totals",
+        ApplicationPreset(
+            name="chemistry",
+            description="Ground-state energy of a correlated materials-science Hamiltonian",
+            counts=AlgorithmCounts(
+                algorithm_qubits=1318,
+                measurements=1.37e9,
+                rotations=2.06e8,
+                t_gates=5.53e7,
+                toffoli_gates=1.35e11,
+                rotation_layers=2.05e8,
+                error_budget=0.01,
+            ),
         ),
-    ),
-    "chemistry": ApplicationPreset(
-        name="chemistry",
-        description="Ground-state energy of a correlated materials-science Hamiltonian",
-        counts=AlgorithmCounts(
-            algorithm_qubits=1318,
-            measurements=1.37e9,
-            rotations=2.06e8,
-            t_gates=5.53e7,
-            toffoli_gates=1.35e11,
-            rotation_layers=2.05e8,
-            error_budget=0.01,
+        ApplicationPreset(
+            name="factoring",
+            description="Factoring a 2048-bit integer (cryptographically relevant RSA size)",
+            counts=AlgorithmCounts(
+                algorithm_qubits=12581,
+                measurements=1.08e9,
+                rotations=12,
+                t_gates=12,
+                toffoli_gates=3.73e9,
+                rotation_layers=12,
+                error_budget=1 / 3,
+            ),
+            notes=(
+                "factoring: Toffoli count stored as 3.73e9, the value consistent "
+                "with the workload's published step and T-state totals",
+            ),
         ),
-    ),
-    "factoring": ApplicationPreset(
-        name="factoring",
-        description="Factoring a 2048-bit integer (cryptographically relevant RSA size)",
-        counts=AlgorithmCounts(
-            algorithm_qubits=12581,
-            measurements=1.08e9,
-            rotations=12,
-            t_gates=12,
-            toffoli_gates=3.73e9,
-            rotation_layers=12,
-            error_budget=1 / 3,
-        ),
-        notes=(
-            "factoring: Toffoli count stored as 3.73e9, the value consistent "
-            "with the workload's published step and T-state totals",
-        ),
-    ),
+    )
 }
 
 

@@ -28,8 +28,6 @@ def format_sig(value: float, digits: int = 2) -> str:
     """
     if value == 0:
         return "0"
-    if not math.isfinite(value):
-        return str(value)
     exponent = math.floor(math.log10(abs(value)))
     rounded = round(value, digits - 1 - exponent)
     if rounded != 0:

@@ -331,16 +331,20 @@ class _Sweep:
     every tuple has one parent. Raising a distance makes nothing cheaper:
     tile qubits and step time grow with it.
 
-    The heap holds unprovisioned nodes keyed by a lower bound on the cost of
-    every configuration in their subtree, and provisioned configurations
-    keyed by the exact cost key (qubit-seconds, qubits, duration,
-    generation order). In the bound, durations and unit sizes are the
-    node's own, and each round has at least 15 times the next round's
-    copies and more than ``(required - 1) / acceptance`` (as
-    ``reliable_outputs(m, a) <= ceil(m * a)``), with each acceptance taken
-    at the subtree's largest distances. A bound entry pops before an exact
-    entry of equal cost, so exact entries pop in cost order, and one whose
-    error is below the last member's joins the staircase.
+    A node is ``(shape, distances, cursor)``: a shape index, one distance per
+    logical round, and the last position its descendants raise. ``_units``
+    builds the units of any shape and distances, and no heap entry holds
+    them. A bound entry ``(cost, 0, order, bound, shape, distances, cursor)``
+    keys a node by a lower bound on the cost of every configuration in its
+    subtree; an exact entry ``(cost, qubits, duration, (shape, distances,
+    final), error, copies)`` keys a provisioned configuration by
+    qubit-seconds, qubits, duration and generation order. In the bound,
+    durations and unit sizes are the node's own, and each round has at least
+    15 times the next round's copies and more than ``(required - 1) /
+    acceptance`` (as ``reliable_outputs(m, a) <= ceil(m * a)``), with each
+    acceptance taken at the subtree's largest distances. A bound entry pops
+    before an exact entry of equal cost, so exact entries pop in cost order,
+    and one whose error is below the last member's joins the staircase.
 
     A node is neither provisioned nor expanded once its error bound is at
     or above the last member's error. The bound is attained: it is the
@@ -387,9 +391,13 @@ class _Sweep:
         self._order = count()
         # SearchBounds keeps an odd distance in range, so ``distances`` is not empty.
         self._top = distances[-1]
-        for shape, (prefix, tables) in enumerate(self._shapes):
-            units = prefix + tuple(table[distances[0]] for table in tables)
-            self._push(shape, (distances[0],) * len(tables), len(tables) - 1, units)
+        for shape, (_, tables) in enumerate(self._shapes):
+            self._push(shape, (distances[0],) * len(tables), len(tables) - 1)
+
+    def _units(self, shape: int, distances: tuple[int, ...]) -> tuple[_Unit, ...]:
+        """The units of ``shape`` with its logical rounds at ``distances``."""
+        prefix, tables = self._shapes[shape]
+        return prefix + tuple(map(dict.__getitem__, tables, distances))
 
     def _chain(self, units: Sequence[_Unit]) -> tuple[float, tuple] | None:
         """Output error and round acceptances of ``units`` run in order, or
@@ -399,33 +407,33 @@ class _Sweep:
         except ValidityRangeError:
             return None
 
-    def _push(
-        self, shape: int, distances: tuple[int, ...], cursor: int, units: tuple[_Unit, ...]
-    ) -> None:
-        """Queue a node whose descendants raise distances up to position ``cursor``."""
+    def _push(self, shape: int, distances: tuple[int, ...], cursor: int) -> None:
+        """Queue a node whose descendants raise distances up to position
+        ``cursor``, unless that position has passed its ceiling: the next
+        position's distance, or the top one."""
         top = distances[cursor + 1] if cursor + 1 < len(distances) else self._top
+        if distances[cursor] > top:
+            return
         # The subtree's attained error bound: every position up to the cursor at ``top``.
-        offset = len(units) - len(distances)
-        raised = tuple(table[top] for table in self._shapes[shape][1][: cursor + 1])
-        reach = self._chain(units[:offset] + raised + units[offset + cursor + 1 :])
+        reach = self._chain(self._units(shape, (top,) * (cursor + 1) + distances[cursor + 1 :]))
         if reach is None:
             return  # nor is any descendant's chain valid
         bound = reach[0]
         if bound >= self._best:
             return
+        units = self._units(shape, distances)
         copies, qubits = 1, units[-1].qubits
         for acceptance, u in zip(reach[1][-2::-1], units[-2::-1]):
             copies = _copy_floor(15 * copies, acceptance)
             qubits = max(qubits, copies * u.qubits)
         duration = sum([u.duration for u in units])
-        entry = (qubits * duration, 0, next(self._order), bound, shape, distances, cursor, units)
+        entry = (qubits * duration, 0, next(self._order), bound, shape, distances, cursor)
         heappush(self._heap, entry)
 
-    def _provision(
-        self, shape: int, distances: tuple[int, ...], units: tuple[_Unit, ...]
-    ) -> None:
+    def _provision(self, shape: int, distances: tuple[int, ...]) -> None:
         """Queue the node's own configuration with the fewest final copies
         that deliver, under its exact cost key."""
+        units = self._units(shape, distances)
         chain = self._chain(units)
         if chain is None or chain[0] >= self._best:
             return
@@ -443,7 +451,7 @@ class _Sweep:
             qubits = max([c * u.qubits for c, u in zip(copies, units)])
             duration = sum([u.duration for u in units])
             order = (shape, distances, final)
-            heappush(self._heap, (qubits * duration, qubits, duration, order, error, units, copies))
+            heappush(self._heap, (qubits * duration, qubits, duration, order, error, copies))
             return
 
     def settle(self, target: float) -> None:
@@ -460,28 +468,19 @@ class _Sweep:
 
     def _step(self, entry: tuple) -> None:
         if entry[1]:
-            error, units, copies = entry[4:]
+            (shape, distances, _), error, copies = entry[3:]
             if error < self._best:
+                units = self._units(shape, distances)
                 rounds = [TFactoryRound(unit=u.spec, copies=c) for u, c in zip(units, copies)]
                 self.factories.append(evaluate_factory(rounds, self.qubit))
                 self._best = error
             return
-        bound, shape, distances, cursor, units = entry[3:]
+        bound, shape, distances, cursor = entry[3:]
         if bound >= self._best:
             return
-        self._provision(shape, distances, units)
-        tables = self._shapes[shape][1]
-        offset = len(units) - len(distances)
+        self._provision(shape, distances)
         for j in range(cursor, -1, -1):
-            limit = distances[j + 1] if j + 1 < len(distances) else self._top
-            if distances[j] < limit:
-                d = distances[j] + 2
-                self._push(
-                    shape,
-                    distances[:j] + (d,) + distances[j + 1 :],
-                    j,
-                    units[: offset + j] + (tables[j][d],) + units[offset + j + 1 :],
-                )
+            self._push(shape, distances[:j] + (distances[j] + 2,) + distances[j + 1 :], j)
 
 
 @lru_cache(maxsize=32)

@@ -112,7 +112,7 @@ def estimate(
     """
     check("stretch", c_factor, "schedule stretch factor")
     c_factor = float(c_factor)
-    steps = max(1, math.ceil(c_factor * requirements.min_time_steps))
+    steps = math.ceil(c_factor * requirements.min_time_steps)
     # The bound is proved: the factory depends only on the code, since its
     # target is per T state and not per step. A pad sets steps to
     # ceil(D_f / tau(d)), and padding only ever raises steps. At more steps a

@@ -169,11 +169,6 @@ _SCHEMA = _object(
     **{"$schema": "https://json-schema.org/draft/2020-12/schema"},
 )
 
-# The published Ising dynamics workload runs with this end-to-end budget;
-# inline ising jobs inherit it unless they say otherwise.
-_DEFAULT_ISING_BUDGET = 1e-3
-
-
 class JobSpec(NamedTuple):
     """A fully resolved job, ready for :func:`qre.report.run`. It runs its
     ``frontier_factors`` if given, else its ``c_factor``, else 1.0."""
@@ -316,7 +311,8 @@ def _application(spec: Any) -> tuple[ApplicationPreset, str]:
     else:
         if math.isqrt(raw["N"]) ** 2 != raw["N"]:
             raise SchemaError("lattice sites must be a perfect square", f"{pointer}/N")
-        budget = raw.get("error_budget", _DEFAULT_ISING_BUDGET)
+        # An inline ising job has the dynamics preset's budget unless it says otherwise.
+        budget = raw.get("error_budget", application_preset("dynamics").requirements.error_budget)
         counts = _at(pointer, ising_counts, raw["N"], raw["T"], budget, raw.get("M_meas"))
     return ApplicationPreset("custom", "", counts=counts), pointer
 

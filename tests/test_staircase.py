@@ -7,7 +7,8 @@ exactly its copies. The sweep behind ``search_factory`` must return the
 reference's full-scan pick for every target, whether it starts fresh or
 resumes after earlier queries in any order, report the same best error when
 no factory meets the target, and hold exactly the reference's staircase once
-it has run to its end.
+it has run to its end. The preset sweeps and estimates make a pinned number
+of heap pops and factory evaluations.
 """
 
 import contextlib
@@ -258,16 +259,24 @@ def test_caches_are_bounded():
     assert distillation._sweep.cache_info().maxsize == 32
 
 
-def test_preset_jobs_fill_the_stated_cache_keys():
-    """The figures of the cache-bound comment above ``provisioned_copies``:
-    the 72 preset estimates (six qubits, three workloads, stretch 1, 2, 4
-    and 8) fill 6 sweeps, 13 provisioning and 187 output-count keys."""
-    caches = (distillation._sweep, distillation.provisioned_copies, distillation.reliable_outputs)
-    for cache in caches:
+_CACHES = (distillation._sweep, distillation.provisioned_copies, distillation.reliable_outputs)
+
+
+def _preset_estimates():
+    """The 72 preset estimates (six qubits, three workloads, stretch 1, 2, 4
+    and 8), from cleared caches."""
+    for cache in _CACHES:
         cache.cache_clear()
     for qubit, app, c in product(qubit_preset_names(), application_preset_names(), (1, 2, 4, 8)):
         estimate(qubit_preset(qubit), application_preset(app).resolve(), c)
-    assert [cache.cache_info().currsize for cache in caches] == [6, 13, 187]
+
+
+def test_preset_jobs_fill_the_stated_cache_keys():
+    """The figures of the cache-bound comment above ``provisioned_copies``:
+    the 72 preset estimates fill 6 sweeps, 13 provisioning and 187
+    output-count keys."""
+    _preset_estimates()
+    assert [cache.cache_info().currsize for cache in _CACHES] == [6, 13, 187]
 
 
 def test_parallel_frontier_builds_each_staircase_once(monkeypatch):
@@ -329,3 +338,48 @@ def test_interrupted_sweep_loses_nothing(monkeypatch):
             interrupts += 1
     assert interrupts > 10
     assert sweep.factories == expected
+
+
+def _counting(monkeypatch, name):
+    """Count the calls distillation makes to its module global ``name``."""
+    calls = [0]
+    real = getattr(distillation, name)
+
+    def call(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(distillation, name, call)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bounds, pops, evaluations, members",
+    [
+        (SearchBounds(), 17_253, 610, [20, 32, 39, 43, 137, 183, 91, 65]),
+        (
+            SearchBounds(max_rounds=4, max_distance=35, max_final_copies=4),
+            18_888,
+            459,
+            [26, 37, 45, 47, 66, 138, 49, 51],
+        ),
+    ],
+    ids=["default", "caps"],
+)
+def test_full_sweeps_do_the_pinned_work(monkeypatch, bounds, pops, evaluations, members):
+    """The 8 preset pairs' full sweeps make exactly the pinned numbers of
+    heap pops and factory evaluations, so a change to the sweep's
+    bookkeeping that keeps its members cannot change its work."""
+    popped = _counting(monkeypatch, "heappop")
+    evaluated = _counting(monkeypatch, "evaluate_factory")
+    sizes = [len(_full_sweep(qubit, code, bounds)) for qubit, code in reference.PRESET_PAIRS]
+    assert (popped[0], evaluated[0], sizes) == (pops, evaluations, members)
+
+
+def test_preset_estimates_do_the_pinned_work(monkeypatch):
+    """The 72 preset estimates, from cleared caches, pop 661 heap entries
+    and evaluate 74 factories."""
+    popped = _counting(monkeypatch, "heappop")
+    evaluated = _counting(monkeypatch, "evaluate_factory")
+    _preset_estimates()
+    assert (popped[0], evaluated[0]) == (661, 74)

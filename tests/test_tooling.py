@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SOURCES = sorted((_ROOT / "src" / "qre").glob("*.py"))
@@ -39,7 +40,6 @@ def test_floor_check_rejects_newer_grammar():
 
 
 def test_workflow_runs_tier_one():
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((_ROOT / ".github" / "workflows" / "tests.yml").read_text())
     # PyYAML reads the bare key `on` as the boolean True.
     assert set(workflow[True]) == {"push", "pull_request"}
