@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for domain errors (infeasible targets, bad
-parameters), a closed stdout or a stdout that cannot encode the report, 2
-for invalid job input.
+parameters), a stdout that is closed, fails a write or cannot encode the
+report, 2 for invalid job input.
 """
 
 import argparse
@@ -132,10 +132,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except BrokenPipeError:
-        # The reader left: send the rest to devnull, so the flush at exit cannot raise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except UnicodeEncodeError:
         # Nothing was written: the whole report is encoded before it is buffered.
         print(
@@ -144,13 +140,16 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        # Send the rest to devnull, so the flush at exit cannot raise. A reader
+        # that left (a broken pipe) is told nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return 1
     except EstimatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+        return 2 if isinstance(exc, SchemaError) else 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -30,7 +30,6 @@ class PhysicalEstimate(NamedTuple):
     code: QecCodeModel
     distance: int
     time_steps: int
-    runtime: int
     factory: TFactory | None
 
     @property
@@ -46,6 +45,11 @@ class PhysicalEstimate(NamedTuple):
     @property
     def step_time(self) -> int:
         return self.code.step_time(self.qubit, self.distance)
+
+    @property
+    def runtime(self) -> int:
+        """Wall-clock time: the step count times the chosen code's step time."""
+        return self.time_steps * self.step_time
 
     @property
     def tile_qubits(self) -> int:
@@ -104,45 +108,38 @@ def estimate(
 
     The step count, code distance, and factory interlock: more steps tighten
     the per-step logical target, so the distance stays or grows, while a
-    factory slower than the whole schedule forces more steps. Padding only
-    raises the step count, so each unsettled pass pads for a new model, and
-    at most one pass per distinct compatible model, plus one, runs; all 72
-    preset estimates (six qubits, three workloads, stretch 1, 2, 4 and 8)
-    settle in one. The result always has a factory no slower than its runtime.
+    factory slower than the whole schedule forces more steps. Each unsettled
+    pass pads for a new model, as a code padded for twice raises, so at most
+    one pass per distinct compatible model, plus one, runs; all 72 preset
+    estimates (six qubits, three workloads, stretch 1, 2, 4 and 8) settle in
+    one. The result always has a factory no slower than its runtime.
     """
     check("stretch", c_factor, "schedule stretch factor")
     c_factor = float(c_factor)
     steps = math.ceil(c_factor * requirements.min_time_steps)
-    # The bound is proved: the factory depends only on the code, since its
-    # target is per T state and not per step. A pad sets steps to
-    # ceil(D_f / tau(d)), and padding only ever raises steps. At more steps a
-    # code's distance, step time and runtime never fall, so a code padded for
-    # settles whenever a later pass picks it again. Each pass that does not
-    # settle thus pads for a new model, and at most len(set(compatible)) + 1
-    # passes run. The raise below guards these premises, not a tuned limit.
-    passes = len({c for c in codes if c.instruction_set is qubit.instruction_set}) + 1
-    for _ in range(passes):
-        per_step_target = requirements.logical_budget / (
-            requirements.logical_qubits * steps
-        )
+    # The factory depends only on the code, as its target is per T state. A
+    # pad sets steps to ceil(D_f / tau(d)) and only raises them, and at more
+    # steps a code's distance and step time never fall, so a code padded for
+    # settles when picked again. The raise guards that premise.
+    padded = set()
+    while True:
+        per_step_target = requirements.logical_budget / (requirements.logical_qubits * steps)
         code, distance = select_code(qubit, per_step_target, codes, distance_cap)
-        step_time = code.step_time(qubit, distance)
         factory = None
         if requirements.t_states > 0:
             factory = search_factory(qubit, code, requirements.max_t_state_error, factory_bounds)
-        est = PhysicalEstimate(
-            qubit, requirements, c_factor, code, distance, steps, step_time * steps, factory
-        )
+        est = PhysicalEstimate(qubit, requirements, c_factor, code, distance, steps, factory)
         if factory is None or factory.duration <= est.runtime:
             return est
-        # A factory slower than the whole schedule would starve the
-        # algorithm; pad the schedule and re-settle the distance. The exact
-        # ceiling, kept an int for a library caller's fractional durations.
-        steps = int(-(-factory.duration // step_time))
-    raise EstimatorError(
-        f"schedule and factory did not settle in {passes} passes "
-        f"(factory {format_duration(factory.duration)}, runtime {format_duration(est.runtime)})"
-    )
+        if code in padded:
+            raise EstimatorError(
+                f"schedule and factory did not settle in {len(padded) + 1} passes (factory "
+                f"{format_duration(factory.duration)}, runtime {format_duration(est.runtime)})"
+            )
+        padded.add(code)
+        # A factory slower than the schedule would starve the algorithm: pad to
+        # the exact ceiling, an int for a library caller's fractional durations.
+        steps = int(-(-factory.duration // est.step_time))
 
 
 def frontier(

@@ -7,8 +7,8 @@ import pytest
 
 from qre import (
     BUILTIN_CODES,
-    BudgetSplit,
     EstimatorError,
+    HASTINGS_HAAH,
     LogicalRequirements,
     ParameterError,
     PhysicalEstimate,
@@ -27,16 +27,6 @@ from qre import (
     select_code,
 )
 from threaded import threaded_frontier
-
-
-def _reqs(logical_qubits, min_time_steps, t_states, budget):
-    return LogicalRequirements(
-        logical_qubits=logical_qubits,
-        min_time_steps=min_time_steps,
-        t_states=t_states,
-        error_budget=budget,
-        split=BudgetSplit(),
-    )
 
 
 # Each of its three compatible codes is padded for once before c2 settles.
@@ -143,9 +133,11 @@ class TestSingleEstimate:
         assert est.physical_qubits == 113_980
 
     def test_qubit_accounting_is_conserved(self):
-        # The total and the factory count are derived, not stored beside their inputs.
+        # The total, the factory count and the runtime are derived, not stored
+        # beside their inputs.
         assert "physical_qubits" not in PhysicalEstimate._fields
         assert "factory_count" not in PhysicalEstimate._fields
+        assert "runtime" not in PhysicalEstimate._fields
         for qubit, app, c in itertools.product(
             qubit_preset_names(), application_preset_names(), (1, 2, 4, 8)
         ):
@@ -167,12 +159,16 @@ class TestSingleEstimate:
         est = estimate(qubit_preset("us-e3"), dynamics, c_factor=10)
         assert est.runtime == est.time_steps * est.step_time
 
+    def test_runtime_follows_a_changed_step_count(self):
+        est = estimate(qubit_preset("ns-e4"), LogicalRequirements(10, 1, 1000, 1e-2))
+        assert est._replace(time_steps=2 * est.time_steps).runtime == 2 * est.runtime
+
     def test_stretch_below_one_rejected(self, dynamics):
         with pytest.raises(ParameterError, match="at least 1"):
             estimate(qubit_preset("ns-e4"), dynamics, c_factor=0.5)
 
     def test_no_t_states_no_factory(self):
-        reqs = _reqs(10, 1000, 0, 1e-3)
+        reqs = LogicalRequirements(10, 1000, 0, 1e-3)
         est = estimate(qubit_preset("ns-e4"), reqs)
         assert est.factory is None
         assert est.factory_count == 0
@@ -181,7 +177,7 @@ class TestSingleEstimate:
 
     def test_slow_factory_stretches_schedule(self):
         # One time step but 1e4 T states: the factory cadence dominates.
-        reqs = _reqs(6, 1, 1e4, 1e-3)
+        reqs = LogicalRequirements(6, 1, 1e4, 1e-3)
         est = estimate(qubit_preset("ns-e4"), reqs)
         assert est.distance == 5
         assert est.time_steps == 31
@@ -197,13 +193,13 @@ class TestSingleEstimate:
 class TestInterlock:
     def test_short_schedule_is_padded_to_the_factory(self):
         # One step cannot host a factory run, so a second pass pads the schedule.
-        est = estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2))
+        est = estimate(qubit_preset("ns-e4"), LogicalRequirements(10, 1, 1000, 1e-2))
         assert est.time_steps > 1
         assert est.factory.duration <= est.runtime == est.time_steps * est.step_time
 
     def test_padded_step_count_is_an_int_for_fractional_durations(self):
         qubit = qubit_preset("ns-e4")._replace(name="fractional", t_gate=50.25, t_meas=100.5)
-        est = estimate(qubit, _reqs(10, 1, 1000, 1e-2))
+        est = estimate(qubit, LogicalRequirements(10, 1, 1000, 1e-2))
         assert est.time_steps == 22 and type(est.time_steps) is int
         assert est.factory.duration <= est.runtime == est.time_steps * est.step_time
 
@@ -267,10 +263,9 @@ class TestInterlock:
             assert len(calls) == 1, (qubit, app, c)
 
     def test_unsettled_interlock_raises(self, monkeypatch):
-        # A distance that shrinks as steps grow breaks the bound's premise.
-        # The guard allows one pass per distinct model the qubit can run, plus
-        # one: ns-e4 runs one of the three built-in codes, and a copy is no new
-        # model, so two passes each way.
+        # A distance that shrinks as steps grow breaks the bound's premise: the
+        # code padded for at pass 1 fails to settle again, and a code padded
+        # for twice raises. A copy of a model is that model, so two passes each way.
         from qre import estimator
 
         for codes in ((SURFACE_GATE,), BUILTIN_CODES, (SURFACE_GATE, SURFACE_GATE)):
@@ -284,8 +279,19 @@ class TestInterlock:
 
             monkeypatch.setattr(estimator, "select_code", shrinking)
             with pytest.raises(EstimatorError, match="did not settle in 2 passes") as info:
-                estimate(qubit_preset("ns-e4"), _reqs(10, 1, 1000, 1e-2), codes=codes)
+                estimate(qubit_preset("ns-e4"), LogicalRequirements(10, 1, 1000, 1e-2), codes=codes)
             assert len(passes) == 2 and "\n" not in str(info.value)
+
+
+    def test_a_code_padded_for_twice_raises_at_once(self, monkeypatch):
+        # hastings-haah at distance 5, then 3, on maj-ns-e4: pass 2 breaks the
+        # premise, so the guard raises there, before a pass at 9 could settle.
+        from qre import estimator
+
+        picks = iter((HASTINGS_HAAH, d) for d in (5, 3, 9))
+        monkeypatch.setattr(estimator, "select_code", lambda *args: next(picks))
+        with pytest.raises(EstimatorError, match="did not settle in 2 passes"):
+            estimate(qubit_preset("maj-ns-e4"), LogicalRequirements(10, 1, 1000, 1e-2))
 
 
 class TestFrontier:

@@ -815,22 +815,38 @@ def test_cli_import_needs_no_scipy_or_numpy():
     assert result.stdout == "[]\n"
 
 
+_FULL = "/dev/full"
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["presets"], ["estimate", "--job"], ["estimate", "--format", "md", "--job"],
-     ["frontier", "--factors", "1,2", "--job"]],
-    ids=["presets", "json", "md", "csv"],
+    "argv, sink",
+    [
+        (["presets"], None),
+        (["estimate", "--job"], None),
+        (["estimate", "--format", "md", "--job"], None),
+        (["frontier", "--factors", "1,2", "--job"], None),
+        pytest.param(
+            ["estimate", "--job"],
+            _FULL,
+            marks=pytest.mark.skipif(not os.path.exists(_FULL), reason=f"{_FULL} is missing"),
+        ),
+    ],
+    ids=["presets", "json", "md", "csv", "full"],
 )
-def test_closed_stdout_ends_without_traceback(tmp_path, argv):
+def test_closed_stdout_ends_without_traceback(tmp_path, argv, sink):
     """A reader that leaves early (``qre ... | head``) gets exit 1 and no
-    traceback, nor a failed flush at exit. Stdout is buffered, as by default."""
+    traceback, nor a failed flush at exit; a full device gets exit 1 and one
+    error line. Stdout is buffered, as by default."""
     if argv[-1] == "--job":
         argv = [*argv, _write(tmp_path, _job())]
     src = str(Path(qre.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    read, write = os.pipe()
-    os.close(read)  # every write to the pipe now fails
+    if sink is None:
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails
+    else:
+        write = os.open(sink, os.O_WRONLY)
     try:
         result = subprocess.run(
             [sys.executable, "-m", "qre.cli", *argv],
@@ -841,7 +857,11 @@ def test_closed_stdout_ends_without_traceback(tmp_path, argv):
         )
     finally:
         os.close(write)
-    assert (result.returncode, result.stderr) == (1, b"")
+    if sink is None:
+        assert (result.returncode, result.stderr) == (1, b"")
+    else:
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
 
 
 @pytest.mark.parametrize("fmt, code", [("md", 1), ("csv", 1), ("json", 0)])

@@ -26,7 +26,6 @@ from qre import (
     SURFACE_GATE,
     SURFACE_MEAS,
     AboveThresholdError,
-    BudgetSplit,
     DistanceCapError,
     InstructionSet,
     LogicalRequirements,
@@ -49,16 +48,6 @@ from qre import (
 from threaded import threaded_frontier
 
 _PRESET_NAMES = ("us-e3", "us-e4", "ns-e3", "ns-e4", "maj-ns-e4", "maj-ns-e6")
-
-
-def _requirements(logical_qubits, min_time_steps, t_states, budget):
-    return LogicalRequirements(
-        logical_qubits=logical_qubits,
-        min_time_steps=min_time_steps,
-        t_states=t_states,
-        error_budget=budget,
-        split=BudgetSplit(),
-    )
 
 
 @given(
@@ -108,7 +97,7 @@ _SMALL_BOUNDS = SearchBounds(max_rounds=2, max_distance=9)
 @settings(deadline=None, derandomize=True, max_examples=150)
 def test_budget_conservation(name, logical_qubits, min_steps, t_states, budget, c_factor):
     """No estimate spends more than its logical or distillation budget share."""
-    reqs = _requirements(logical_qubits, min_steps, t_states, budget)
+    reqs = LogicalRequirements(logical_qubits, min_steps, t_states, budget)
     est = estimate(qubit_preset(name), reqs, c_factor, factory_bounds=_SMALL_BOUNDS)
     assert est.logical_error_used <= reqs.logical_budget
     if t_states:
@@ -162,7 +151,7 @@ def test_factories_non_increasing(
     name, logical_qubits, min_steps, t_states, budget, f1, delta
 ):
     """Stretching the schedule never calls for more factories."""
-    reqs = _requirements(logical_qubits, min_steps, t_states, budget)
+    reqs = LogicalRequirements(logical_qubits, min_steps, t_states, budget)
     qubit = qubit_preset(name)
     slow = estimate(qubit, reqs, f1 + delta, factory_bounds=_MONO_BOUNDS)
     fast = estimate(qubit, reqs, f1, factory_bounds=_MONO_BOUNDS)
@@ -235,7 +224,7 @@ def test_interlock_factory_keeps_up(
         p_t=10**p_t,
         t_gate=t_gate if gate_based else None,
     )
-    reqs = _requirements(logical_qubits, min_steps, t_states, budget)
+    reqs = LogicalRequirements(logical_qubits, min_steps, t_states, budget)
     picks = []
 
     def recording(*args):
@@ -268,7 +257,7 @@ _FRONTIER_BOUNDS = SearchBounds(max_rounds=2, max_distance=13)
 @settings(deadline=None, derandomize=True, max_examples=100)
 def test_frontier_parallel_matches_sequential(name, factors):
     qubit = qubit_preset(name)
-    reqs = _requirements(20, 500, 1000, 1e-2)
+    reqs = LogicalRequirements(20, 500, 1000, 1e-2)
     par = threaded_frontier(qubit, reqs, factors, factory_bounds=_FRONTIER_BOUNDS)
     seq = frontier(qubit, reqs, tuple(factors), factory_bounds=_FRONTIER_BOUNDS)
     assert par == seq
@@ -366,7 +355,7 @@ _NO_FACTORY = ("us-e3", [], 20, 1000, 2000, 1e-3, 1.0)
 
 
 def _oracle(name, custom, logical_qubits, min_steps, t_states, budget, c_factor):
-    reqs = _requirements(logical_qubits, min_steps, t_states, budget)
+    reqs = LogicalRequirements(logical_qubits, min_steps, t_states, budget)
     codes = BUILTIN_CODES + tuple(custom)
     return _differential(qubit_preset(name), reqs, c_factor, codes, _ORACLE_BOUNDS)
 

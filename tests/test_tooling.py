@@ -8,7 +8,13 @@ import pytest
 import yaml
 
 _ROOT = Path(__file__).resolve().parents[1]
-_SOURCES = sorted((_ROOT / "src" / "qre").glob("*.py"))
+_PACKAGE = _ROOT / "src" / "qre"
+# Every file the workflow runs on the floor: the package, its tests and the benchmark.
+_SOURCES = [
+    path
+    for folder in (_PACKAGE, _ROOT / "tests", _ROOT / "perfbench")
+    for path in sorted(folder.glob("*.py"))
+]
 
 
 def _floor() -> tuple[int, int]:
@@ -26,10 +32,15 @@ def _parses_at(source: str, version: tuple[int, int]) -> bool:
     return True
 
 
-@pytest.mark.parametrize("path", _SOURCES, ids=lambda path: path.name)
+def _source_id(path: Path) -> str:
+    return path.name if path.parent == _PACKAGE else path.relative_to(_ROOT).as_posix()
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=_source_id)
 def test_sources_parse_at_the_declared_floor(path):
-    """Each module's grammar is the declared floor's. This checks syntax only:
-    a library API added after the floor still passes."""
+    """Each module's grammar is the declared floor's: the package's, the
+    tests' and the benchmark's. This checks syntax only: a library API added
+    after the floor still passes."""
     assert _parses_at(path.read_text(encoding="utf-8"), _floor())
 
 
